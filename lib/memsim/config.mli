@@ -114,6 +114,9 @@ type t = {
           calibration folds that into one aggregate channel) *)
   heap_words : int;
   meta_words : int;
+      (** size of the volatile metadata space (orecs, clock) in words;
+          demand-paged, so a machine pays only for the pages its PTM
+          touches, not for the whole space *)
   l3_bytes : int;
   l3_ways : int;
   wpq_capacity : int;  (** bounded NVM write-pending-queue entries *)
@@ -135,7 +138,8 @@ val make :
   ?track_media:bool ->
   model ->
   t
-(** Defaults: 1 Mi-word (8 MB) heap, 2^20+4096-word metadata space, 32 KB
-    16-way L3 (the paper's L3 scaled by 2^10), WPQ of 32 lines, 96 MB
-    PDRAM page cache (the paper's 96 GB of per-socket DRAM scaled by
-    2^10), media tracking on. *)
+(** Defaults: 1 Mi-word (8 MB) heap, 2^20+4096-word metadata space (of
+    which only touched pages are materialized), 32 KB 16-way L3 (the
+    paper's L3 scaled by 2^10), WPQ of 32 lines, 96 MB PDRAM page cache
+    (the paper's 96 GB of per-socket DRAM scaled by 2^10), media
+    tracking on. *)

@@ -1,7 +1,7 @@
 (** Demand-paged heap image.
 
-    The persistent heap and its media image as arrays of page-sized
-    chunks that all share one immutable zero page until first written.
+    The persistent heap, its media image and the volatile metadata
+    space as arrays of page-sized chunks that all share one immutable zero page until first written.
     Creating an image is O(pages) pointer stores instead of O(words)
     zeroing, and copies/blits/serialization walk only touched chunks —
     the 32 MB-per-cell zeroing tax the ROADMAP's speedup item left on

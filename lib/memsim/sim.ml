@@ -40,6 +40,14 @@ type t = {
      bitmap), fed from [store]/[publish] — the FAMS substrate.  [None]
      costs one branch per store. *)
   mutable dirty : Dirty.t option;
+  (* Volatile metadata space (orecs, global clock): demand-paged like
+     the heap, so a machine pays only for the pages its PTM touches.
+     Created with the [t] and never carried across [reboot] or
+     [load_image] — a power failure wipes it. *)
+  meta : Pheap.t;
+  (* The one {!Machine.t} facade over this machine, built on first
+     [machine] call. *)
+  mutable facade : Machine.t option;
   c : counters;
 }
 
@@ -74,6 +82,8 @@ let create (cfg : Config.t) =
     trace = None;
     pending = Pending.create ~stride:Layout.words_per_line ();
     dirty = None;
+    meta = Pheap.create ~words:cfg.meta_words;
+    facade = None;
     c =
       {
         loads = 0;
@@ -624,36 +634,48 @@ let publish t addrs values n =
   end;
   Sched.wait t.sched (30 + (2 * n) + (10 * !lines))
 
-(* Volatile metadata space: plain arrays — the DES interleaves at
-   operation granularity, so plain reads/CASes are atomic. *)
+(* Volatile metadata accessors over [t.meta].  The DES interleaves at
+   operation granularity, so plain reads/CASes are atomic.  [Pheap.get]
+   and [Pheap.set] are unchecked, so every accessor bounds-checks its
+   index before touching the store. *)
 let make_meta t =
-  let meta = Array.make t.cfg.meta_words 0 in
+  let meta = t.meta in
+  let words = t.cfg.meta_words in
+  let sched = t.sched in
   let lat = t.cfg.lat in
+  let[@inline] check i =
+    if i < 0 || i >= words then
+      invalid_arg (Printf.sprintf "Sim: metadata index %d out of bounds" i)
+  in
   let get i =
-    Sched.wait t.sched lat.meta_read_ns;
-    meta.(i)
+    Sched.wait sched lat.meta_read_ns;
+    check i;
+    Pheap.get meta i
   in
   let set i v =
-    Sched.wait t.sched lat.meta_write_ns;
-    meta.(i) <- v
+    Sched.wait sched lat.meta_write_ns;
+    check i;
+    Pheap.set meta i v
   in
   let cas i expected v =
-    Sched.wait t.sched lat.meta_write_ns;
-    if meta.(i) = expected then begin
-      meta.(i) <- v;
+    Sched.wait sched lat.meta_write_ns;
+    check i;
+    if Pheap.get meta i = expected then begin
+      Pheap.set meta i v;
       true
     end
     else false
   in
   let fetch_add i delta =
-    Sched.wait t.sched lat.meta_write_ns;
-    let old = meta.(i) in
-    meta.(i) <- old + delta;
+    Sched.wait sched lat.meta_write_ns;
+    check i;
+    let old = Pheap.get meta i in
+    Pheap.set meta i (old + delta);
     old
   in
   (get, set, cas, fetch_add)
 
-let machine t : Machine.t =
+let make_facade t : Machine.t =
   let meta_get, meta_set, meta_cas, meta_fetch_add = make_meta t in
   let needs_flush, needs_fence =
     match t.cfg.model.persistence with
@@ -694,6 +716,14 @@ let machine t : Machine.t =
         rebuild_log_index t);
     publish = (fun addrs values n -> publish t addrs values n);
   }
+
+let machine t =
+  match t.facade with
+  | Some m -> m
+  | None ->
+    let m = make_facade t in
+    t.facade <- Some m;
+    m
 
 module Debt = struct
   type sim = t

@@ -36,7 +36,15 @@ val config : t -> Config.t
 
 val machine : t -> Machine.t
 (** The {!Machine.t} facade.  Timed operations must only be called from
-    simulated threads (between [spawn] and the end of [run]). *)
+    simulated threads (between [spawn] and the end of [run]).
+
+    Every call on one [t] returns the same facade over the same volatile
+    metadata space (orecs, global clock): [meta_words] words, all zero
+    at creation, demand-paged so only written pages cost memory, and
+    bounds-checked ([Invalid_argument] outside [\[0, meta_words)]).  The
+    space belongs to the [t]: {!reboot} and {!load_image} return a
+    machine whose metadata starts all-zero again, as a power failure
+    wipes it. *)
 
 val enable_trace : ?capacity:int -> t -> Trace.t
 (** Start recording machine events into a fresh ring buffer (see

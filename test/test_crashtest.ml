@@ -348,6 +348,33 @@ let test_crash_leak_is_warning () =
   in
   hunt 1
 
+(* ---------- allocation guard ---------- *)
+
+(* Host cost of one crash cell is dominated by what each probe
+   allocates.  Word counts are host-stable, so a fixed bound is a fair
+   tier-1 gate: one [run_point] (prepare, image reload, crashed run,
+   reboot, recovery, oracles) on bank/optane-adr/redo must stay well
+   below the ~3.2 M words it costs when every machine zeroes a flat
+   8.4 MB metadata table. *)
+let alloc_bound_words = 400_000.
+
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let test_run_point_alloc () =
+  let scenario = Scenarios.bank () in
+  let model = Config.optane_adr and algorithm = Ptm.Redo in
+  let probe = Engine.explore ~points:1 ~seed ~model ~algorithm scenario in
+  let crash_at = max 1 (probe.Engine.final_time / 2) in
+  let before = allocated_words () in
+  let result = Engine.run_point ~model ~algorithm ~seed ~crash_at scenario in
+  let words = allocated_words () -. before in
+  Helpers.check_bool "probe passes the oracles" true (Result.is_ok result);
+  Helpers.check_bool
+    (Printf.sprintf "run_point allocated %.0f words (bound %.0f)" words alloc_bound_words)
+    true (words < alloc_bound_words)
+
 let suite =
   matrix_cases @ coalescing_cases @ mod_cases @ kvserve_cases @ extension_domain_cases
   @ mutation_cases
@@ -362,4 +389,6 @@ let suite =
         (test_recovery_convergence ~model:Config.transient_cache Ptm.Redo);
       Alcotest.test_case "same config+seed is bit-identical" `Quick test_determinism;
       Alcotest.test_case "crash-leaked arena is a warning" `Quick test_crash_leak_is_warning;
+      Alcotest.test_case "run_point allocation bound (bank/adr/redo)" `Quick
+        test_run_point_alloc;
     ]

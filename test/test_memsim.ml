@@ -674,6 +674,65 @@ let test_pending_overflow_recycle () =
   Helpers.check_int "slots recycle after drain" 1 (Pending.count t);
   Helpers.check_int "recycling does not grow" (2 * cap0) (Pending.capacity t)
 
+(* ---------- volatile metadata ---------- *)
+
+(* The metadata space is demand-paged but must behave like the flat,
+   bounds-checked, zero-initialized array it replaces: one space per
+   [Sim.t], shared by every [machine] call, wiped by a power failure. *)
+let test_meta_contract () =
+  let meta_words = (2 * Pheap.chunk_words) + 100 in
+  let cfg = Config.make ~heap_words:4096 ~meta_words Config.optane_adr in
+  let sim = Sim.create cfg in
+  let m = Sim.machine sim in
+  Helpers.check_int "facade reports the space size" meta_words m.Machine.meta_words;
+  let all_zero what m =
+    List.iter
+      (fun i ->
+        Helpers.check_int (Printf.sprintf "%s: index %d reads 0" what i) 0 (m.Machine.meta_get i))
+      [ 0; 1; Pheap.chunk_words - 1; Pheap.chunk_words; meta_words - 1 ]
+  in
+  all_zero "fresh" m;
+  let raises what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s did not raise Invalid_argument" what
+  in
+  List.iter
+    (fun i ->
+      raises (Printf.sprintf "meta_get %d" i) (fun () -> ignore (m.Machine.meta_get i));
+      raises (Printf.sprintf "meta_set %d" i) (fun () -> m.Machine.meta_set i 1);
+      raises (Printf.sprintf "meta_cas %d" i) (fun () -> ignore (m.Machine.meta_cas i 0 1));
+      raises (Printf.sprintf "meta_fetch_add %d" i) (fun () ->
+          ignore (m.Machine.meta_fetch_add i 1)))
+    [ -1; meta_words ];
+  (* A second facade sees the same clock and orecs. *)
+  let m2 = Sim.machine sim in
+  Helpers.check_int "fetch_add returns the old value" 0 (m.Machine.meta_fetch_add 0 5);
+  Helpers.check_int "clock visible through the second facade" 5 (m2.Machine.meta_get 0);
+  Helpers.check_int "fetch_add through the second facade" 5 (m2.Machine.meta_fetch_add 0 1);
+  Helpers.check_int "and back through the first" 6 (m.Machine.meta_get 0);
+  Helpers.check_bool "cas succeeds on the expected value" true (m2.Machine.meta_cas 7 0 9);
+  Helpers.check_bool "cas fails on a stale value" false (m.Machine.meta_cas 7 0 3);
+  Helpers.check_int "cas result shared" 9 (m.Machine.meta_get 7);
+  m.Machine.meta_set (meta_words - 1) 42;
+  Helpers.check_int "last index writable" 42 (m2.Machine.meta_get (meta_words - 1));
+  Helpers.check_int "neighbours of a written word stay 0" 0 (m.Machine.meta_get 8);
+  (* Power failure: both restart paths come up with all-zero metadata,
+     while the heap survives. *)
+  m.Machine.raw_write 3 77;
+  Sim.persist_all sim;
+  let rebooted = Sim.machine (Sim.reboot sim) in
+  all_zero "after reboot" rebooted;
+  Helpers.check_int "reboot keeps the heap" 77 (rebooted.Machine.raw_read 3);
+  let path = Filename.temp_file "memsim-meta" ".img" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Sim.save_image sim path;
+      let loaded = Sim.machine (Sim.load_image cfg path) in
+      all_zero "after load_image" loaded;
+      Helpers.check_int "load_image keeps the heap" 77 (loaded.Machine.raw_read 3))
+
 let suite =
   [
     Alcotest.test_case "sched: virtual-time order" `Quick test_sched_virtual_time_order;
@@ -715,4 +774,5 @@ let suite =
     Alcotest.test_case "trace: crash marker" `Quick test_trace_marks_crash;
     test_pending_differential;
     Alcotest.test_case "pending: overflow + recycle" `Quick test_pending_overflow_recycle;
+    Alcotest.test_case "sim: metadata contract" `Quick test_meta_contract;
   ]
