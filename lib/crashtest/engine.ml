@@ -92,65 +92,85 @@ let prepare_image cfg scenario ~algorithm =
   Sim.save_image sim path;
   path
 
+let with_image image f =
+  Fun.protect ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ()) f
+
 (* Run the dlin oracle (when the scenario has one) before the shadow
    validator, so a durable-linearizability violation — which carries a
    replayable counterexample dump — takes precedence over the coarser
-   invariant check's message. *)
-let check_instance inst ~crashed sim ptm =
-  let first = match inst.oracle with None -> Ok () | Some o -> o ~crashed sim ptm in
+   invariant check's message.  Shared by both APIs. *)
+let judge oracle validate ~crashed sim x =
+  let first = match oracle with None -> Ok () | Some o -> o ~crashed sim x in
   match first with
   | Error _ as e -> e
-  | Ok () -> (
-    match inst.validate ~crashed sim ptm with
-    | Ok () -> Ok ()
-    | Error reason -> Error { fail_reason = reason; counterexample = None })
+  | Ok () ->
+    Result.map_error
+      (fun reason -> { fail_reason = reason; counterexample = None })
+      (validate ~crashed sim x)
 
-(* Run the scenario's workload from the prepared image, optionally
-   crashing, and validate.  Returns the verdict, the final virtual time
-   and the trace (when requested).  [inject] arms a deliberate ordering
-   bug in the PTM runtime (mutation tests); the prepared image is always
-   populated without injection. *)
-let run_from_image ?(trace_capacity = 0) ?inject cfg scenario ~algorithm ~seed ~image
-    ?crash_at () =
+let integrity stage region =
+  let report = Pmem.Check.run region in
+  if Pmem.Check.is_clean report then Ok ()
+  else
+    Error
+      {
+        fail_reason = Format.asprintf "%s corruption:@ %a" stage Pmem.Check.pp report;
+        counterexample = None;
+      }
+
+(* A workload instance spawned on a machine loaded from the prepared
+   image, not yet run, with the two verdicts a probe can reach on it. *)
+type armed = {
+  sim : Sim.t;
+  trace : Trace.t option;
+  clean : unit -> (unit, oracle_failure) result;
+      (* the instance judged on the finished machine *)
+  crash : at:int option -> (unit, oracle_failure) result;
+      (* the machine a power failure leaves — at [at] when the run is
+         paused there — checked, recovered, checked again and judged *)
+}
+
+(* [recover] attaches the API to the rebooted machine, or rejects it.
+   A crash must never corrupt region metadata, only leave in-flight
+   logs / leaked arenas behind, so integrity is checked on the raw
+   reboot as well as after recovery. *)
+let arm ~sim ~trace ~live ~recover ~region ~judge =
+  let crash ~at =
+    let sim2 = Sim.reboot ?at sim in
+    let ( let* ) = Result.bind in
+    let* () = integrity "pre-recovery" (Pmem.Region.attach (Sim.machine sim2)) in
+    let* x = recover sim2 in
+    let* () = integrity "post-recovery" (region x) in
+    judge ~crashed:true sim2 x
+  in
+  { sim; trace; clean = (fun () -> judge ~crashed:false sim live); crash }
+
+(* Arm the scenario's workload on the prepared image.  [inject] arms a
+   deliberate ordering bug in the PTM runtime (mutation tests); the
+   prepared image is always populated without injection. *)
+let load ?inject cfg scenario ~algorithm ~seed ~image ~trace_capacity =
+  let recover m = Ptm.recover ~algorithm ~coalesce:scenario.coalesce ?inject m in
   let sim = Sim.load_image cfg image in
-  let ptm = Ptm.recover ~algorithm ~coalesce:scenario.coalesce ?inject (Sim.machine sim) in
-  let tr =
+  let ptm = recover (Sim.machine sim) in
+  let trace =
     if trace_capacity > 0 then Some (Sim.enable_trace ~capacity:trace_capacity sim) else None
   in
   let inst = scenario.fresh ~seed in
   for tid = 0 to scenario.threads - 1 do
     ignore (Sim.spawn sim (fun () -> inst.worker ~tid ptm))
   done;
-  Sim.run ?crash_at sim;
-  let final = Sim.now sim in
-  let verdict =
-    if not (Sim.crashed sim) then check_instance inst ~crashed:false sim ptm
-    else begin
-      let sim2 = Sim.reboot sim in
-      let m2 = Sim.machine sim2 in
-      (* Pre-recovery integrity: a crash must never corrupt region
-         metadata, only leave in-flight logs / leaked arenas behind. *)
-      let pre = Pmem.Check.run (Pmem.Region.attach m2) in
-      if not (Pmem.Check.is_clean pre) then
-        Error
-          {
-            fail_reason = Format.asprintf "pre-recovery corruption:@ %a" Pmem.Check.pp pre;
-            counterexample = None;
-          }
-      else begin
-        let ptm2 = Ptm.recover ~algorithm ~coalesce:scenario.coalesce ?inject m2 in
-        let post = Pmem.Check.run (Ptm.region ptm2) in
-        if not (Pmem.Check.is_clean post) then
-          Error
-            {
-              fail_reason = Format.asprintf "post-recovery corruption:@ %a" Pmem.Check.pp post;
-              counterexample = None;
-            }
-        else check_instance inst ~crashed:true sim2 ptm2
-      end
-    end
-  in
-  (verdict, final, tr)
+  arm ~sim ~trace ~live:ptm
+    ~recover:(fun sim2 -> Ok (recover (Sim.machine sim2)))
+    ~region:Ptm.region ~judge:(judge inst.oracle inst.validate)
+
+(* The re-run path: run an armed instance to the end, or crash it at
+   [crash_at], and judge it.  Shrinking, replay and failure telemetry
+   use it; exploration probes in one pass instead (see [probe_all]).
+   Returns the verdict, the final virtual time and the trace. *)
+let run_armed ?crash_at a =
+  Sim.run ?crash_at a.sim;
+  let verdict = if Sim.crashed a.sim then a.crash ~at:None else a.clean () in
+  (verdict, Sim.now a.sim, a.trace)
 
 (* ---------- failure telemetry ---------- *)
 
@@ -212,6 +232,84 @@ let replay_command ?inject scenario_name model_name alg seed crash_at =
     model_name (Ptm.algorithm_name alg) seed crash_at
     (match inject with None -> "" | Some i -> ":" ^ Ptm.inject_name i)
 
+(* WPQ drains happen inside a mutator's quiet intervals — fence waits,
+   a coalesced clwb batch paying its issue slots, admission stalls —
+   and the trace records no events there.  Those intervals are exactly
+   where unfenced write-backs lose races, so span every gap wider than
+   a microsecond with evenly spaced interior probes. *)
+let drain_instants cfg tr =
+  let service = cfg.Config.lat.Config.nvm_wpq_service_ns in
+  let channels = max 1 cfg.Config.nvm_channels in
+  let rec walk acc run = function
+    | a :: (b :: _ as rest) ->
+      let run = match a.Trace.kind with Trace.Clwb _ -> run + 1 | _ -> 0 in
+      let t0 = a.Trace.at_ns and t1 = b.Trace.at_ns in
+      let acc =
+        if t1 - t0 > 1024 then begin
+          let even = List.init 16 (fun k -> t0 + ((k + 1) * (t1 - t0) / 17)) in
+          (* A batch of [run] clwbs drains within about run/channels
+             service slots of its issue instant; the loss window sits
+             at the head of the gap, so walk the completion boundaries
+             densely. *)
+          let head =
+            if run = 0 then []
+            else
+              let slots = min (((run + channels - 1) / channels) + channels) 64 in
+              List.init slots (fun j -> t0 + ((j + 1) * service))
+          in
+          head @ even @ acc
+        end
+        else acc
+      in
+      walk acc run rest
+    | _ -> acc
+  in
+  walk [] 0 (Trace.tail tr)
+
+let choose_instants ?drain ~points ~seed ~exhaustive ~final_time tr =
+  let keep l = List.sort_uniq compare l |> List.filter (fun t -> t > 0 && t <= final_time) in
+  let drained = match drain with None -> [] | Some cfg -> keep (drain_instants cfg tr) in
+  let grid = List.init 64 (fun i -> (i + 1) * final_time / 65) in
+  let candidates = keep (Trace.crash_points tr @ drained @ grid) in
+  let chosen =
+    if exhaustive || List.length candidates <= points then candidates
+    else begin
+      (* Drain-window instants are a few hundred among tens of
+         thousands of issue instants, but they are where ordering bugs
+         bite: probe every one, and sample only the bulk. *)
+      let arr = Array.of_list candidates in
+      Rng.shuffle (Rng.create (seed lxor 0x5ca1ab1e)) arr;
+      List.sort_uniq compare (drained @ Array.to_list (Array.sub arr 0 points))
+    end
+  in
+  (List.length candidates, chosen)
+
+(* Probe every instant of [stops] (sorted, distinct) in one run of [a]:
+   the scheduler pauses at each, and the probe judges the durable image
+   of the paused machine as of that instant — exactly what a run
+   crashed there is judged on.  The first failure ends the run as a
+   crash.  Stops the run never reaches (every thread finished earlier)
+   share the crash-free verdict, computed once.  Returns how many
+   instants were probed and the first failing one. *)
+let probe_all a stops =
+  let tested = ref 0 and failed = ref None in
+  let on_stop t =
+    incr tested;
+    match a.crash ~at:(Some t) with
+    | Ok () -> true
+    | Error f ->
+      failed := Some (t, f);
+      false
+  in
+  Sim.run ~stops ~on_stop a.sim;
+  (if Option.is_none !failed && !tested < Array.length stops then
+     match a.clean () with
+     | Ok () -> tested := Array.length stops
+     | Error f ->
+       failed := Some (stops.(!tested), f);
+       incr tested);
+  (!tested, !failed)
+
 (* Greedy shrink: repeatedly probe a few instants below the current
    minimum; stop when none of them fails or the budget runs out.
    Failure is not monotone in time, so this finds a small — not
@@ -243,118 +341,88 @@ let shrink ~probe ~budget t0 =
   done;
   !best
 
-let explore ?points ?seed ?exhaustive ?(shrink_budget = 24) ?(nvm_channels = 4) ?inject
-    ~model ~algorithm scenario =
-  let exhaustive =
-    match exhaustive with Some b -> b | None -> exhaustive_from_env ()
+let knobs ?points ?seed ?exhaustive () =
+  ( (match points with Some p -> p | None -> getenv_int "CRASHTEST_POINTS" 64),
+    (match seed with Some s -> s | None -> getenv_int "CRASHTEST_SEED" 1),
+    match exhaustive with Some b -> b | None -> exhaustive_from_env () )
+
+(* One matrix cell, for either API.  [load trace_capacity] arms a fresh
+   instance from the prepared image; [dump t] writes the failure
+   telemetry of a re-run crashed at [t]; [replay t] is the command that
+   reproduces [t]; [drain] (FAMS) adds the WPQ drain-window instants of
+   that configuration to the candidates. *)
+let explore_cell ?drain ~points ~seed ~exhaustive ~shrink_budget ~scenario ~model ~algorithm
+    ~load ~dump ~replay () =
+  (* Crash-free reference run, traced: yields the final time and the
+     interesting instants, and sanity-checks the oracle.  The injected
+     ordering bugs only weaken durability, never the cache-visible
+     heap, so the reference must pass even under injection. *)
+  let verdict, final_time, tr = run_armed (load (1 lsl 17)) in
+  (match verdict with
+  | Ok () -> ()
+  | Error e ->
+    failwith
+      (Printf.sprintf "crashtest %s/%s: reference run violates the model (harness bug): %s"
+         scenario model.Config.model_name e.fail_reason));
+  let candidates, chosen =
+    choose_instants ?drain ~points ~seed ~exhaustive ~final_time (Option.get tr)
   in
-  let points = match points with Some p -> p | None -> getenv_int "CRASHTEST_POINTS" 64 in
-  let seed = match seed with Some s -> s | None -> getenv_int "CRASHTEST_SEED" 1 in
-  let cfg = make_config ~nvm_channels scenario model in
-  let image = prepare_image cfg scenario ~algorithm in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ())
-    (fun () ->
-      (* Crash-free reference run, traced: yields the final time and
-         the interesting instants, and sanity-checks the oracle.  The
-         injected ordering bugs only weaken durability, never the
-         cache-visible heap, so the reference must pass even under
-         injection. *)
-      let verdict, final_time, tr =
-        run_from_image ~trace_capacity:(1 lsl 17) ?inject cfg scenario ~algorithm ~seed
-          ~image ()
-      in
-      (match verdict with
-      | Ok () -> ()
-      | Error e ->
-        failwith
-          (Printf.sprintf "crashtest %s/%s: reference run violates the model (harness bug): %s"
-             scenario.name model.Config.model_name e.fail_reason));
-      let candidates =
-        let traced = match tr with Some tr -> Trace.crash_points tr | None -> [] in
-        let grid = List.init 64 (fun i -> (i + 1) * final_time / 65) in
-        List.sort_uniq compare (traced @ grid)
-        |> List.filter (fun t -> t > 0 && t <= final_time)
-      in
-      let chosen =
-        if exhaustive || List.length candidates <= points then candidates
-        else begin
-          let arr = Array.of_list candidates in
-          let rng = Rng.create (seed lxor 0x5ca1ab1e) in
-          Rng.shuffle rng arr;
-          Array.to_list (Array.sub arr 0 points) |> List.sort compare
-        end
-      in
-      let probe t =
-        let v, _, _ =
-          run_from_image ?inject cfg scenario ~algorithm ~seed ~image ~crash_at:t ()
-        in
+  let tested, first = probe_all (load 0) (Array.of_list chosen) in
+  let failures =
+    match first with
+    | None -> []
+    | Some (t, first_fail) ->
+      let probe c =
+        let v, _, _ = run_armed ~crash_at:c (load 0) in
         v
       in
-      let tested = ref 0 in
-      let failure = ref None in
-      (try
-         List.iter
-           (fun t ->
-             incr tested;
-             match probe t with
-             | Ok () -> ()
-             | Error first_fail ->
-               let min_t = shrink ~probe ~budget:shrink_budget t in
-               let fail =
-                 match probe min_t with Error f -> f | Ok () -> first_fail
-               in
-               let telemetry_dir =
-                 try
-                   Some
-                     (dump_failure_telemetry ?inject cfg scenario ~model ~algorithm ~seed
-                        ~image ~crash_at:min_t)
-                 with Sys_error _ -> None
-               in
-               (* The dlin counterexample rides the same telemetry path
-                  as the other failure artifacts: one JSONL next to the
-                  replay line. *)
-               (match (telemetry_dir, fail.counterexample) with
-               | Some dir, Some jsonl -> (
-                 try
-                   let oc = open_out_bin (Filename.concat dir "dlin.jsonl") in
-                   output_string oc jsonl;
-                   close_out oc
-                 with Sys_error _ -> ())
-               | _ -> ());
-               failure :=
-                 Some
-                   {
-                     crash_at = t;
-                     min_crash_at = min_t;
-                     reason = fail.fail_reason;
-                     replay =
-                       replay_command ?inject scenario.name model.Config.model_name algorithm
-                         seed min_t;
-                     telemetry_dir;
-                   };
-               raise Exit)
-           chosen
-       with Exit -> ());
-      {
-        scenario = scenario.name;
-        model = model.Config.model_name;
-        algorithm = Ptm.algorithm_name algorithm;
-        seed;
-        final_time;
-        candidates = List.length candidates;
-        tested = !tested;
-        failures = (match !failure with None -> [] | Some f -> [ f ]);
-      })
+      let min_t = shrink ~probe ~budget:shrink_budget t in
+      let fail = match probe min_t with Error f -> f | Ok () -> first_fail in
+      let telemetry_dir = try Some (dump min_t) with Sys_error _ -> None in
+      (* The dlin counterexample rides the same telemetry path as the
+         other failure artifacts: one JSONL next to the replay line. *)
+      (match (telemetry_dir, fail.counterexample) with
+      | Some dir, Some jsonl -> (
+        try
+          let oc = open_out_bin (Filename.concat dir "dlin.jsonl") in
+          output_string oc jsonl;
+          close_out oc
+        with Sys_error _ -> ())
+      | _ -> ());
+      [
+        {
+          crash_at = t;
+          min_crash_at = min_t;
+          reason = fail.fail_reason;
+          replay = replay min_t;
+          telemetry_dir;
+        };
+      ]
+  in
+  { scenario; model = model.Config.model_name; algorithm; seed; final_time; candidates; tested;
+    failures }
+
+let explore ?points ?seed ?exhaustive ?(shrink_budget = 24) ?(nvm_channels = 4) ?inject
+    ~model ~algorithm scenario =
+  let points, seed, exhaustive = knobs ?points ?seed ?exhaustive () in
+  let cfg = make_config ~nvm_channels scenario model in
+  let image = prepare_image cfg scenario ~algorithm in
+  with_image image (fun () ->
+      explore_cell ~points ~seed ~exhaustive ~shrink_budget ~scenario:scenario.name ~model
+        ~algorithm:(Ptm.algorithm_name algorithm)
+        ~load:(fun trace_capacity ->
+          load ?inject cfg scenario ~algorithm ~seed ~image ~trace_capacity)
+        ~dump:(fun crash_at ->
+          dump_failure_telemetry ?inject cfg scenario ~model ~algorithm ~seed ~image ~crash_at)
+        ~replay:(replay_command ?inject scenario.name model.Config.model_name algorithm seed)
+        ())
 
 let run_point ?(nvm_channels = 4) ?inject ~model ~algorithm ~seed ~crash_at scenario =
   let cfg = make_config ~nvm_channels scenario model in
   let image = prepare_image cfg scenario ~algorithm in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ())
-    (fun () ->
+  with_image image (fun () ->
       let v, _, _ =
-        run_from_image ?inject cfg scenario ~algorithm ~seed ~image ~crash_at ()
+        run_armed ~crash_at (load ?inject cfg scenario ~algorithm ~seed ~image ~trace_capacity:0)
       in
       Result.map_error (fun f -> f.fail_reason) v)
 
@@ -366,9 +434,7 @@ let recovery_convergence ?(nvm_channels = 4) ?budgets ~model ~algorithm ~seed ~c
     scenario =
   let cfg = make_config ~nvm_channels scenario model in
   let image = prepare_image cfg scenario ~algorithm in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ())
-    (fun () ->
+  with_image image (fun () ->
       let sim = Sim.load_image cfg image in
       let ptm = Ptm.recover ~algorithm ~coalesce:scenario.coalesce (Sim.machine sim) in
       let inst = scenario.fresh ~seed in
@@ -433,7 +499,7 @@ let recovery_convergence ?(nvm_channels = 4) ?budgets ~model ~algorithm ~seed ~c
                   recovery (crash_at=%d seed=%d)"
                  k total crash_at seed)
           else
-            match check_instance inst ~crashed:true sim_b ptm_b with
+            match judge inst.oracle inst.validate ~crashed:true sim_b ptm_b with
             | Ok () -> Ok ()
             | Error e ->
               Error
@@ -448,11 +514,11 @@ let recovery_convergence ?(nvm_channels = 4) ?budgets ~model ~algorithm ~seed ~c
 (* ---------- FAMS: crash-testing the snapshot API ---------- *)
 
 (* The msync subsystem rides the same explorer: prepared image, traced
-   reference run, candidate instants, probe + greedy shrink, replayable
-   failure line.  The differences are structural — a single mutator
-   instead of a thread team, [Fams.recover] instead of [Ptm.recover],
-   and the algorithm column is the granularity series ("fams-line" /
-   "fams-page"). *)
+   reference run, candidate instants, single-pass probing + greedy
+   shrink, replayable failure line.  The differences are structural — a
+   single mutator instead of a thread team, [Fams.recover] instead of
+   [Ptm.recover], WPQ drain-window candidates, and the algorithm column
+   is the granularity series ("fams-line" / "fams-page"). *)
 
 type fams_instance = {
   f_worker : Sim.t -> Fams.t -> unit;  (** the single mutator *)
@@ -489,58 +555,22 @@ let prepare_fams_image cfg scenario ~granularity =
   Sim.save_image sim path;
   path
 
-let check_fams_instance inst ~crashed sim fams =
-  let first = match inst.f_oracle with None -> Ok () | Some o -> o ~crashed sim fams in
-  match first with
-  | Error _ as e -> e
-  | Ok () -> (
-    match inst.f_validate ~crashed sim fams with
-    | Ok () -> Ok ()
-    | Error reason -> Error { fail_reason = reason; counterexample = None })
-
-let run_fams_from_image ?(trace_capacity = 0) ?inject cfg scenario ~seed ~image ?crash_at ()
-    =
+let load_fams ?inject cfg scenario ~seed ~image ~trace_capacity =
   let sim = Sim.load_image cfg image in
   let fams = Fams.recover ?inject sim in
-  let tr =
+  let trace =
     if trace_capacity > 0 then Some (Sim.enable_trace ~capacity:trace_capacity sim) else None
   in
   let inst = scenario.f_fresh ~seed in
   ignore (Sim.spawn sim (fun () -> inst.f_worker sim fams));
-  Sim.run ?crash_at sim;
-  let final = Sim.now sim in
-  let verdict =
-    if not (Sim.crashed sim) then check_fams_instance inst ~crashed:false sim fams
-    else begin
-      let sim2 = Sim.reboot sim in
-      let m2 = Sim.machine sim2 in
-      (* Pre-recovery integrity: region metadata must survive the crash
-         even before the snapshot journal is replayed or discarded. *)
-      let pre = Pmem.Check.run (Pmem.Region.attach m2) in
-      if not (Pmem.Check.is_clean pre) then
-        Error
-          {
-            fail_reason = Format.asprintf "pre-recovery corruption:@ %a" Pmem.Check.pp pre;
-            counterexample = None;
-          }
-      else begin
-        match Fams.recover ?inject sim2 with
-        | exception Machine.Corrupt_image msg ->
-          Error { fail_reason = "recovery rejected the image: " ^ msg; counterexample = None }
-        | fams2 ->
-          let post = Pmem.Check.run (Fams.region fams2) in
-          if not (Pmem.Check.is_clean post) then
-            Error
-              {
-                fail_reason =
-                  Format.asprintf "post-recovery corruption:@ %a" Pmem.Check.pp post;
-                counterexample = None;
-              }
-          else check_fams_instance inst ~crashed:true sim2 fams2
-      end
-    end
+  let recover sim2 =
+    match Fams.recover ?inject sim2 with
+    | fams2 -> Ok fams2
+    | exception Machine.Corrupt_image msg ->
+      Error { fail_reason = "recovery rejected the image: " ^ msg; counterexample = None }
   in
-  (verdict, final, tr)
+  arm ~sim ~trace ~live:fams ~recover ~region:Fams.region
+    ~judge:(judge inst.f_oracle inst.f_validate)
 
 (* Failure telemetry for a FAMS point: the phase profiler (sweep /
    publish / apply spans) plus the machine trace, dumped as
@@ -587,6 +617,7 @@ let dump_fams_failure_telemetry ?inject cfg scenario ~model ~granularity ~seed ~
   emit "trace.json" (Telemetry.Export.chrome_trace ~machine_trace:tr meta profiler);
   dir
 
+
 let fams_replay_command ?inject scenario_name model_name granularity seed crash_at =
   Printf.sprintf "CRASHTEST_REPLAY='%s:%s:%s:%d:%d%s' dune build @crashtest" scenario_name
     model_name
@@ -596,146 +627,27 @@ let fams_replay_command ?inject scenario_name model_name granularity seed crash_
 
 let explore_fams ?points ?seed ?exhaustive ?(shrink_budget = 24) ?(nvm_channels = 4) ?inject
     ~model ~granularity scenario =
-  let exhaustive = match exhaustive with Some b -> b | None -> exhaustive_from_env () in
-  let points = match points with Some p -> p | None -> getenv_int "CRASHTEST_POINTS" 64 in
-  let seed = match seed with Some s -> s | None -> getenv_int "CRASHTEST_SEED" 1 in
+  let points, seed, exhaustive = knobs ?points ?seed ?exhaustive () in
   let cfg = make_fams_config ~nvm_channels scenario model in
   let image = prepare_fams_image cfg scenario ~granularity in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ())
-    (fun () ->
-      let verdict, final_time, tr =
-        run_fams_from_image ~trace_capacity:(1 lsl 17) ?inject cfg scenario ~seed ~image ()
-      in
-      (match verdict with
-      | Ok () -> ()
-      | Error e ->
-        failwith
-          (Printf.sprintf "crashtest %s/%s: reference run violates the model (harness bug): %s"
-             scenario.f_name model.Config.model_name e.fail_reason));
-      let candidates =
-        let traced = match tr with Some tr -> Trace.crash_points tr | None -> [] in
-        (* WPQ drains happen inside the mutator's quiet intervals —
-           fence waits, a coalesced clwb batch paying its issue slots,
-           admission stalls — and the trace records no events there.
-           Those intervals are exactly where unfenced write-backs lose
-           races, so span every gap wider than a microsecond with
-           evenly spaced interior probes. *)
-        let drained =
-          match tr with
-          | None -> []
-          | Some tr ->
-            let service = cfg.Config.lat.Config.nvm_wpq_service_ns in
-            let channels = max 1 cfg.Config.nvm_channels in
-            let rec walk acc run = function
-              | a :: (b :: _ as rest) ->
-                let run = match a.Trace.kind with Trace.Clwb _ -> run + 1 | _ -> 0 in
-                let t0 = a.Trace.at_ns and t1 = b.Trace.at_ns in
-                let acc =
-                  if t1 - t0 > 1024 then begin
-                    let even = List.init 16 (fun k -> t0 + ((k + 1) * (t1 - t0) / 17)) in
-                    (* A batch of [run] clwbs drains within about
-                       run/channels service slots of its issue instant;
-                       the loss window sits at the head of the gap, so
-                       walk the completion boundaries densely. *)
-                    let head =
-                      if run = 0 then []
-                      else
-                        let slots = min (((run + channels - 1) / channels) + channels) 64 in
-                        List.init slots (fun j -> t0 + ((j + 1) * service))
-                    in
-                    head @ even @ acc
-                  end
-                  else acc
-                in
-                walk acc run rest
-              | _ -> acc
-            in
-            walk [] 0 (Trace.tail tr)
-        in
-        let grid = List.init 64 (fun i -> (i + 1) * final_time / 65) in
-        let keep l =
-          List.sort_uniq compare l |> List.filter (fun t -> t > 0 && t <= final_time)
-        in
-        (keep (traced @ drained @ grid), keep drained)
-      in
-      let all_candidates, drained = candidates in
-      let candidates = all_candidates in
-      let chosen =
-        if exhaustive || List.length candidates <= points then candidates
-        else begin
-          (* Drain-window instants are a few hundred among tens of
-             thousands of issue instants, but they are where ordering
-             bugs bite: probe every one, and sample only the bulk. *)
-          let rng = Rng.create (seed lxor 0x5ca1ab1e) in
-          let arr = Array.of_list candidates in
-          Rng.shuffle rng arr;
-          let sampled = Array.to_list (Array.sub arr 0 (min points (Array.length arr))) in
-          List.sort_uniq compare (drained @ sampled)
-        end
-      in
-      let probe t =
-        let v, _, _ = run_fams_from_image ?inject cfg scenario ~seed ~image ~crash_at:t () in
-        v
-      in
-      let tested = ref 0 in
-      let failure = ref None in
-      (try
-         List.iter
-           (fun t ->
-             incr tested;
-             match probe t with
-             | Ok () -> ()
-             | Error first_fail ->
-               let min_t = shrink ~probe ~budget:shrink_budget t in
-               let fail = match probe min_t with Error f -> f | Ok () -> first_fail in
-               let telemetry_dir =
-                 try
-                   Some
-                     (dump_fams_failure_telemetry ?inject cfg scenario ~model ~granularity
-                        ~seed ~image ~crash_at:min_t)
-                 with Sys_error _ -> None
-               in
-               (match (telemetry_dir, fail.counterexample) with
-               | Some dir, Some jsonl -> (
-                 try
-                   let oc = open_out_bin (Filename.concat dir "dlin.jsonl") in
-                   output_string oc jsonl;
-                   close_out oc
-                 with Sys_error _ -> ())
-               | _ -> ());
-               failure :=
-                 Some
-                   {
-                     crash_at = t;
-                     min_crash_at = min_t;
-                     reason = fail.fail_reason;
-                     replay =
-                       fams_replay_command ?inject scenario.f_name model.Config.model_name
-                         granularity seed min_t;
-                     telemetry_dir;
-                   };
-               raise Exit)
-           chosen
-       with Exit -> ());
-      {
-        scenario = scenario.f_name;
-        model = model.Config.model_name;
-        algorithm = fams_algorithm_name granularity;
-        seed;
-        final_time;
-        candidates = List.length candidates;
-        tested = !tested;
-        failures = (match !failure with None -> [] | Some f -> [ f ]);
-      })
+  with_image image (fun () ->
+      explore_cell ~drain:cfg ~points ~seed ~exhaustive ~shrink_budget ~scenario:scenario.f_name
+        ~model ~algorithm:(fams_algorithm_name granularity)
+        ~load:(fun trace_capacity -> load_fams ?inject cfg scenario ~seed ~image ~trace_capacity)
+        ~dump:(fun crash_at ->
+          dump_fams_failure_telemetry ?inject cfg scenario ~model ~granularity ~seed ~image
+            ~crash_at)
+        ~replay:
+          (fams_replay_command ?inject scenario.f_name model.Config.model_name granularity seed)
+        ())
 
 let run_fams_point ?(nvm_channels = 4) ?inject ~model ~granularity ~seed ~crash_at scenario =
   let cfg = make_fams_config ~nvm_channels scenario model in
   let image = prepare_fams_image cfg scenario ~granularity in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ())
-    (fun () ->
-      let v, _, _ = run_fams_from_image ?inject cfg scenario ~seed ~image ~crash_at () in
+  with_image image (fun () ->
+      let v, _, _ =
+        run_armed ~crash_at (load_fams ?inject cfg scenario ~seed ~image ~trace_capacity:0)
+      in
       Result.map_error (fun f -> f.fail_reason) v)
 
 (* ---------- replay parsing ---------- *)

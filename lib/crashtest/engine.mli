@@ -10,13 +10,22 @@
     + enumerates candidate crash instants from the trace (just before
       and just after every store, clwb, sfence and publish — the only
       places persistent state can change) plus a uniform grid;
-    + for each chosen instant re-runs the {e identical} workload with
-      [Sim.run ~crash_at], then [Sim.reboot]s, checks region integrity
-      with {!Pmem.Check.run} both before and after {!Pstm.Ptm.recover},
-      and validates the recovered state against the scenario's
-      application-level model (shadow state + invariants);
-    + on a failure, automatically shrinks to a smaller failing crash
-      time and reports a one-command replay line.
+    + chooses a seeded sample of those instants and probes them all in
+      {e one} more run of the identical workload: the scheduler pauses
+      at every chosen instant (the stop contract of
+      {!Memsim.Sched.run}), where the machine holds exactly the state a
+      power failure there would find.  At each pause the probe
+      [Sim.reboot ~at]s the paused machine's durable image as of that
+      instant, checks region integrity with {!Pmem.Check.run} both
+      before and after {!Pstm.Ptm.recover}, and judges the recovered
+      state with the scenario's oracle and validator — against the
+      paused instance, whose shadow state and operation history are
+      those a crash at that instant leaves.  Then the run resumes.
+      Instants after the last event get the crash-free verdict;
+    + on the first failure, ends the pass, shrinks to a smaller
+      failing crash time by re-running the workload with
+      [Sim.run ~crash_at] (the replay path, also behind {!run_point}),
+      and reports a one-command replay line.
 
     Sampling is driven by a seeded RNG, so every run — including which
     crash points were probed — is reproducible from the printed seed.
@@ -35,7 +44,13 @@ type oracle_failure = { fail_reason : string; counterexample : string option }
 
 (** One run of a scenario: volatile shadow state (what the workload
     believes committed) plus the validator that checks it against the
-    recovered persistent state. *)
+    recovered persistent state.
+
+    [validate] and [oracle] run while the workload is paused and must
+    not mutate the instance's state (shadow arrays, operation history):
+    the run resumes after them, and later probes judge the same
+    instance.  They may freely use the recovered machine they are
+    given. *)
 type instance = {
   worker : tid:int -> Pstm.Ptm.t -> unit;
       (** body of simulated thread [tid]; runs transactions and records
@@ -68,8 +83,8 @@ type scenario = {
           store any addresses the workers need in region roots *)
   fresh : seed:int -> instance;
       (** new instance with empty shadow state; equal seeds must yield
-          identical workloads (the engine re-runs the same instance
-          descriptor once per crash point) *)
+          identical workloads (the reference run, the probing pass and
+          every re-run each get a fresh instance) *)
 }
 
 type failure = {
@@ -122,6 +137,24 @@ val explore :
     injected bugs weaken durability only, never the cache-visible
     heap). *)
 
+val choose_instants :
+  ?drain:Memsim.Config.t ->
+  points:int ->
+  seed:int ->
+  exhaustive:bool ->
+  final_time:int ->
+  Memsim.Trace.t ->
+  int * int list
+(** The explorers' crash-instant choice, from the trace of the
+    crash-free reference run that ended at [final_time]: the number of
+    candidates (every {!Memsim.Trace.crash_points} instant plus a
+    64-point grid, within [(0, final_time\]]) and the chosen instants,
+    sorted — all candidates when [exhaustive] or when there are at
+    most [points], otherwise a sample of [points] seeded by [seed].
+    [drain] adds the WPQ drain-window instants of that machine
+    configuration, all of them chosen ({!explore_fams} passes its
+    configuration). *)
+
 val run_point :
   ?nvm_channels:int ->
   ?inject:Pstm.Ptm.inject ->
@@ -131,8 +164,9 @@ val run_point :
   crash_at:int ->
   scenario ->
   (unit, string) result
-(** Probe a single crash instant — the replay path for a failure
-    printed by {!explore}. *)
+(** Probe a single crash instant by re-running the workload with
+    [Sim.run ~crash_at] — the replay path for a failure printed by
+    {!explore}, and the oracle its single pass is tested against. *)
 
 val recovery_convergence :
   ?nvm_channels:int ->
@@ -155,11 +189,12 @@ val recovery_convergence :
 (** {1 FAMS: crash-testing the snapshot API}
 
     The msync subsystem rides the same explorer — prepared image,
-    traced reference run, candidate instants, probe + greedy shrink,
-    replayable failure line — with a single mutator instead of a
-    thread team, {!Fams.recover} instead of [Ptm.recover], and the
-    granularity series ("fams-line" / "fams-page") in the algorithm
-    column. *)
+    traced reference run, candidate instants, single-pass probing +
+    greedy shrink, replayable failure line — with a single mutator
+    instead of a thread team, {!Fams.recover} instead of
+    [Ptm.recover], WPQ drain-window instants among the candidates, and
+    the granularity series ("fams-line" / "fams-page") in the
+    algorithm column. *)
 
 type fams_instance = {
   f_worker : Memsim.Sim.t -> Fams.t -> unit;
@@ -214,8 +249,9 @@ val run_fams_point :
   crash_at:int ->
   fams_scenario ->
   (unit, string) result
-(** Probe a single FAMS crash instant — the replay path for a failure
-    printed by {!explore_fams}. *)
+(** Probe a single FAMS crash instant by re-running the workload — the
+    replay path for a failure printed by {!explore_fams}
+    ([CRASHTEST_REPLAY] takes FAMS lines too). *)
 
 val parse_fams_replay :
   string -> (string * string * Fams.granularity * int * int * Fams.inject option) option

@@ -49,6 +49,17 @@ let[@inline] chunk_for_write t ci =
 let[@inline] set t addr v =
   Array.unsafe_set (chunk_for_write t (addr lsr chunk_shift)) (addr land chunk_mask) v
 
+(* Content equality: a materialized chunk that holds only zeros equals
+   the zero page. *)
+let equal a b =
+  a.words = b.words
+  &&
+  let rec from i =
+    i = Array.length a.chunks
+    || (a.chunks.(i) == b.chunks.(i) || a.chunks.(i) = b.chunks.(i)) && from (i + 1)
+  in
+  from 0
+
 let touched t =
   let n = ref 0 in
   Array.iter (fun c -> if c != zero then incr n) t.chunks;

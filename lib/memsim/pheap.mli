@@ -26,6 +26,10 @@ val get : t -> int -> int
 val set : t -> int -> int -> unit
 (** Unchecked write; materializes the chunk on first touch. *)
 
+val equal : t -> t -> bool
+(** Same size and word-for-word the same content, however each image
+    came to materialize its chunks. *)
+
 val touched : t -> int
 (** Number of materialized chunks. *)
 

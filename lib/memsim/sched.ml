@@ -7,16 +7,38 @@ exception Crashed = Machine.Crashed
    on every suspension — measurable on the DES hot loop.) *)
 type _ Effect.t += Wait : unit Effect.t
 
+(* A suspended thread's continuation lives in [thread.k], not in the
+   state constructor, so suspending allocates no [Suspended k] block. *)
 type state =
   | Not_started of (unit -> unit)
-  | Suspended of (unit, unit) Effect.Deep.continuation
+  | Suspended
   | Running
   | Finished
+
+(* The value [thread.k] holds while the thread is not suspended: a
+   continuation captured once, here, and never resumed.  It keeps the
+   field well-typed without an option (which would allocate per
+   suspension) or [Obj.magic]. *)
+let placeholder : (unit, unit) Effect.Deep.continuation =
+  let captured = ref None in
+  let keep (k : (unit, unit) Effect.Deep.continuation) = captured := Some k in
+  Effect.Deep.match_with Effect.perform Wait
+    {
+      Effect.Deep.retc = (fun () -> ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Wait -> (Some keep : ((a, unit) Effect.Deep.continuation -> unit) option)
+          | _ -> None);
+    };
+  match !captured with Some k -> k | None -> assert false
 
 type thread = {
   thread_id : int;
   mutable time : int;
   mutable state : state;
+  mutable k : (unit, unit) Effect.Deep.continuation; (* valid while [Suspended] *)
   self : thread option; (* pre-allocated [Some this] for [current] *)
 }
 
@@ -27,12 +49,19 @@ type t = {
   mutable current : thread option;
   mutable pending_ns : int; (* delay of the in-flight Wait perform *)
   mutable crash_limit : int; (* armed crash time; [max_int] = none *)
+  mutable stops : int array; (* sorted stop instants *)
+  mutable next_stop : int; (* index of the first stop not yet fired *)
+  mutable on_stop : int -> bool;
+  (* [min crash_limit stops.(next_stop)]: the one bound the inline
+     fast path and the dispatch loop compare against. *)
+  mutable horizon : int;
   mutable crashed : bool;
   mutable max_time : int;
   mutable started : bool;
 }
 
-let rec dummy = { thread_id = -1; time = 0; state = Finished; self = Some dummy }
+let rec dummy =
+  { thread_id = -1; time = 0; state = Finished; k = placeholder; self = Some dummy }
 
 let create () =
   {
@@ -42,6 +71,10 @@ let create () =
     current = None;
     pending_ns = 0;
     crash_limit = max_int;
+    stops = [||];
+    next_stop = 0;
+    on_stop = (fun _ -> true);
+    horizon = max_int;
     crashed = false;
     max_time = 0;
     started = false;
@@ -49,7 +82,9 @@ let create () =
 
 let spawn t f =
   if t.started then invalid_arg "Sched.spawn: scheduler already running";
-  let rec th = { thread_id = t.count; time = 0; state = Not_started f; self = Some th } in
+  let rec th =
+    { thread_id = t.count; time = 0; state = Not_started f; k = placeholder; self = Some th }
+  in
   if t.count = Array.length t.table then begin
     let bigger = Array.make (max 8 (2 * (t.count + 1))) dummy in
     Array.blit t.table 0 bigger 0 t.count;
@@ -74,15 +109,16 @@ let tid t = match t.current with Some th -> th.thread_id | None -> 0
    first, hence the strict [<]).  Advancing the clock inline is then
    observably identical to the full perform/reschedule cycle, and skips
    the continuation capture, the heap round-trip and the handler
-   dispatch.  A wake time at or past the armed crash limit must take
-   the slow path so the crash machinery sees the event. *)
+   dispatch.  A wake time at or past the horizon (the armed crash limit
+   or the next stop) must take the slow path so the dispatch loop sees
+   the event. *)
 let wait t ns =
   assert (ns >= 0);
   match t.current with
   | None -> ()
   | Some th ->
     let nt = th.time + ns in
-    if nt < t.crash_limit && nt < Repro_util.Int_heap.min_key t.ready then begin
+    if nt < t.horizon && nt < Repro_util.Int_heap.min_key t.ready then begin
       th.time <- nt;
       if nt > t.max_time then t.max_time <- nt
     end
@@ -102,9 +138,33 @@ let time_limit t = if t.crash_limit = max_int then None else Some t.crash_limit
 
 let running t = t.current <> None
 
+let update_horizon t =
+  t.horizon <-
+    (if t.next_stop < Array.length t.stops then min t.crash_limit t.stops.(t.next_stop)
+     else t.crash_limit)
+
+(* The next event is due at [time >= t.horizon]: fire, in order, every
+   stop at or before it (and before the crash limit).  A callback that
+   answers [false] turns its stop into the crash instant.  Returns
+   whether the power fails at this event. *)
+let rec reach t time =
+  let i = t.next_stop in
+  if i < Array.length t.stops && t.stops.(i) <= time && t.stops.(i) < t.crash_limit then begin
+    let s = t.stops.(i) in
+    t.next_stop <- i + 1;
+    if not (t.on_stop s) then t.crash_limit <- s;
+    reach t time
+  end
+  else begin
+    update_horizon t;
+    time >= t.crash_limit
+  end
+
 let kill t th =
   match th.state with
-  | Suspended k ->
+  | Suspended ->
+    let k = th.k in
+    th.k <- placeholder;
     th.state <- Finished;
     t.current <- th.self;
     (* The handler's exnc re-raises, so an uncaught Crashed surfaces
@@ -113,17 +173,24 @@ let kill t th =
     t.current <- None
   | Not_started _ | Running | Finished -> th.state <- Finished
 
-let run ?crash_at t =
+let run ?crash_at ?(stops = [||]) ?(on_stop = fun _ -> true) t =
   if t.started then invalid_arg "Sched.run: scheduler already ran";
+  for i = 1 to Array.length stops - 1 do
+    if stops.(i) <= stops.(i - 1) then invalid_arg "Sched.run: stops not strictly increasing"
+  done;
   t.started <- true;
   (match crash_at with Some c -> t.crash_limit <- c | None -> ());
+  t.stops <- stops;
+  t.on_stop <- on_stop;
+  update_horizon t;
   (* The Wait arm of the handler is allocated once here, not per
      perform: [effc] returns the same [Some on_wait] every time.  The
      cast is safe because [Wait : unit Effect.t] fixes [a = unit]. *)
   let on_wait (k : (unit, unit) Effect.Deep.continuation) =
     let th = match t.current with Some th -> th | None -> assert false in
     th.time <- th.time + t.pending_ns;
-    th.state <- Suspended k;
+    th.k <- k;
+    th.state <- Suspended;
     t.max_time <- max t.max_time th.time;
     Repro_util.Int_heap.push t.ready ~key:th.time th.thread_id
   in
@@ -153,7 +220,7 @@ let run ?crash_at t =
       let th = t.table.(id) in
       if th.state <> Finished then begin
         let time = Repro_util.Int_heap.last_key t.ready in
-        if time >= t.crash_limit then begin
+        if time >= t.horizon && reach t time then begin
           t.crashed <- true;
           kill t th;
           (* Power is gone: kill everything else too. *)
@@ -173,7 +240,11 @@ let run ?crash_at t =
           | Not_started f ->
             th.state <- Running;
             Effect.Deep.match_with f () handler
-          | Suspended k ->
+          | Suspended ->
+            (* Clear the field before resuming: the thread's next
+               suspension stores its new continuation there. *)
+            let k = th.k in
+            th.k <- placeholder;
             th.state <- Running;
             Effect.Deep.continue k ()
           | Running | Finished -> assert false);

@@ -10,8 +10,10 @@
     Power-failure injection: when a crash time is armed, any thread
     whose next event would occur at or after that instant is
     discontinued with the {!Crashed} exception instead of being
-    resumed.  Threads must let [Crashed] propagate (cleanup via
-    [Fun.protect] is fine). *)
+    resumed.  Threads must let [Crashed] propagate; cleanup code run
+    while it unwinds must not touch simulated memory (the power is
+    already gone), which is also what makes a run paused at a stop
+    (see {!run}) show the state a crash there leaves. *)
 
 type t
 
@@ -24,10 +26,25 @@ val spawn : t -> (unit -> unit) -> int
 (** Register a thread; returns its dense id (0, 1, ...).  Must be
     called before {!run}. *)
 
-val run : ?crash_at:int -> t -> unit
+val run : ?crash_at:int -> ?stops:int array -> ?on_stop:(int -> bool) -> t -> unit
 (** Execute until every thread finishes, or until virtual time reaches
     [crash_at], in which case all remaining threads are killed and
-    {!crashed} becomes true.  May be called once per scheduler. *)
+    {!crashed} becomes true.  May be called once per scheduler.
+
+    Stops pause the run without changing it.  [stops] must be strictly
+    increasing ([Invalid_argument] otherwise).  Stop [s] fires when the
+    scheduler pops the first event at or after [s], before it resumes
+    that event's thread — exactly where [crash_at:s] would have killed
+    it — so inside [on_stop s] the machine state (memory, caches,
+    queues, and everything the threads recorded) is the state a crash
+    at [s] leaves behind.  Several stops with no event between them
+    fire in order at the same event.  Each stop fires at most once;
+    stops after the last event, or at or after [crash_at], never fire.
+    The callback runs outside any simulated thread and must not touch
+    this scheduler.  A run with stops whose callbacks all answer [true]
+    has the same event order, final time and outcome as one without.
+    Answering [false] ends the run as a crash at [s]: it is then
+    indistinguishable from [run ~crash_at:s]. *)
 
 val wait : t -> int -> unit
 (** Advance the calling thread's virtual clock by [ns >= 0].  Must be

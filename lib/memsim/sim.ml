@@ -401,8 +401,8 @@ let sfence t =
 
 let spawn t f = Sched.spawn t.sched f
 
-let run ?crash_at t =
-  Sched.run ?crash_at t.sched;
+let run ?crash_at ?stops ?on_stop t =
+  Sched.run ?crash_at ?stops ?on_stop t.sched;
   if Sched.crashed t.sched then
     match t.trace with
     | None -> ()
@@ -466,8 +466,9 @@ let persist_all t =
     Pheap.assign ~src:t.heap ~dst:media
 
 (* Apply the durability domain's survival rule after a power failure
-   (or a clean shutdown, which is strictly weaker than eADR flush). *)
-let surviving_media t =
+   (or a clean shutdown, which is strictly weaker than eADR flush).
+   [at] is the failure instant of a run paused at a stop. *)
+let durable_image ?at t =
   match t.media with
   | None -> invalid_arg "Sim.reboot: track_media is off"
   | Some media ->
@@ -483,11 +484,13 @@ let surviving_media t =
          strictly before the power failed reach the image.  Leaves
          [t.pending] untouched so reboot can be replayed. *)
       let cutoff =
-        if Sched.crashed t.sched then
+        match at with
+        | Some c -> c
+        | None when Sched.crashed t.sched -> (
           match Sched.time_limit t.sched with
           | Some c -> c
-          | None -> Sched.now t.sched
-        else max_int
+          | None -> Sched.now t.sched)
+        | None -> max_int
       in
       Pending.apply ~cutoff t.pending image
     | Config.Eadr | Config.Transient_cache ->
@@ -521,7 +524,7 @@ let surviving_media t =
 let image_magic = 0x50444D53 (* "PDMS" *)
 
 let save_image t path =
-  let image = surviving_media t in
+  let image = durable_image t in
   let pairs = ref [] in
   Pheap.iter_touched image (fun ci c -> pairs := (ci, c) :: !pairs);
   let pairs = List.rev !pairs in
@@ -581,8 +584,8 @@ let load_image cfg path =
   | None -> ());
   fresh
 
-let reboot t =
-  let image = surviving_media t in
+let reboot ?at t =
+  let image = durable_image ?at t in
   let fresh = create t.cfg in
   Pheap.assign ~src:image ~dst:fresh.heap;
   (match fresh.media with

@@ -52,7 +52,12 @@ val enable_trace : ?capacity:int -> t -> Trace.t
 
 val spawn : t -> (unit -> unit) -> int
 
-val run : ?crash_at:int -> t -> unit
+val run : ?crash_at:int -> ?stops:int array -> ?on_stop:(int -> bool) -> t -> unit
+(** Run the spawned threads; see {!Sched.run} for [crash_at] and the
+    stop contract.  While [on_stop s] runs, the machine is paused in
+    the state a power failure at [s] would find: [reboot ~at:s] gives
+    the machine that failure leaves.  The callback must not mutate
+    this machine. *)
 
 val now : t -> int
 (** Virtual time: current thread's clock during [run], final time after. *)
@@ -79,11 +84,20 @@ val wpq_stall_ns_of : t -> tid:int -> int
     tids).  Bulk PDRAM page drains are not charged to any thread, so
     the per-tid sum is a lower bound on {!Stats.t.wpq_stall_ns}. *)
 
-val reboot : t -> t
+val reboot : ?at:int -> t -> t
 (** Post-crash (or post-run) machine: fresh scheduler, caches, queues
-    and volatile metadata; heap initialized from the surviving media
-    image according to the durability domain.  Requires
+    and volatile metadata; heap initialized from {!durable_image}.
+    Leaves [t] unchanged, so it can be called repeatedly.  Requires
     [track_media = true]. *)
+
+val durable_image : ?at:int -> t -> Pheap.t
+(** A fresh copy of the media image that survives a power failure,
+    according to the durability domain.  The failure instant is [at]
+    when given — for a run paused at stop [at] (see {!run}), where two
+    stops with no event between them still differ in which WPQ entries
+    the controller has serviced.  Otherwise it is the crash instant of
+    a crashed run, or the end of a finished one.
+    @raise Invalid_argument when [track_media = false]. *)
 
 val reset_timing : t -> unit
 (** Forget timing state accumulated by an untimed setup phase (memory

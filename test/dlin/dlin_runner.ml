@@ -5,8 +5,8 @@
    plus one cell per extension domain (transient-cache, HTM-commit,
    eADR) — and one armed skip-fence probe that the dlin oracle must
    reject.  DLIN_FULL=1 (set by the @dlin alias) widens this to every
-   scenario across the whole durability matrix plus all three injected
-   mutations.
+   scenario across the whole durability matrix plus every injected
+   mutation, the five PTM ones and the two FAMS ones.
 
    Both modes are held to a wall-clock budget so the oracle's search
    cost stays an explicit, regression-checked quantity: DLIN_BUDGET_S
@@ -77,6 +77,14 @@ let mutations =
     (Ptm.Tear_write, "mod-hash", Config.optane_adr, Ptm.Mod);
   ]
 
+(* The two FAMS protocol bugs, on the cells test/test_fams.ml catches
+   them on. *)
+let fams_mutations =
+  [
+    (Fams.Skip_publish_fence, Fams.Page, Config.optane_adr);
+    (Fams.Torn_journal_entry, Fams.Line, Config.optane_adr);
+  ]
+
 let failed = ref 0
 let ran = ref 0
 
@@ -106,6 +114,18 @@ let mutation ?(points = 80) inject scenario model algorithm =
       (Ptm.inject_name inject)
   end
 
+let fams_mutation inject granularity model =
+  incr ran;
+  let scenario = Scenarios.fams_bank () in
+  let report = Engine.explore_fams ~points:80 ~seed:1 ~inject ~model ~granularity scenario in
+  if Engine.ok report then begin
+    incr failed;
+    Printf.printf "FAIL %s/%s/%s + %s: oracle missed the armed mutation\n%!"
+      scenario.Engine.f_name model.Config.model_name
+      (Engine.fams_algorithm_name granularity)
+      (Fams.inject_name inject)
+  end
+
 let () =
   let t0 = Unix.gettimeofday () in
   if full then begin
@@ -121,7 +141,10 @@ let () =
     List.iter
       (fun (inject, scen, model, algorithm) ->
         mutation inject (Scenarios.find scen) model algorithm)
-      mutations
+      mutations;
+    List.iter
+      (fun (inject, granularity, model) -> fams_mutation inject granularity model)
+      fams_mutations
   end
   else begin
     List.iter

@@ -50,3 +50,54 @@ let kv_ops_gen ?size ~key_range ~ops () =
   let open QCheck2.Gen in
   let step = pair (int_range 1 key_range) (int_range 0 (ops - 1)) in
   match size with None -> list step | Some (lo, hi) -> list_size (int_range lo hi) step
+
+(* ---------- crash exploration: single pass vs re-run ---------- *)
+
+(* [arm ()] spawns a fresh instance of one workload on a fresh machine
+   loaded from the same image.  At every instant of [stops] (sorted,
+   all within the run), the durable image of one run paused there must
+   equal, word for word, the image a re-run crashed there leaves. *)
+let paused_images_match ~what ~arm stops =
+  let sim = arm () in
+  let compared = ref 0 in
+  Memsim.Sim.run sim ~stops ~on_stop:(fun s ->
+      let crashed = arm () in
+      Memsim.Sim.run ~crash_at:s crashed;
+      check_bool
+        (Printf.sprintf "%s: paused image at %dns equals the crash re-run's" what s)
+        true
+        (Memsim.Pheap.equal (Memsim.Sim.durable_image ~at:s sim) (Memsim.Sim.durable_image crashed));
+      incr compared;
+      true);
+  check_int (what ^ ": every instant compared") (Array.length stops) !compared
+
+(* The re-run explorer: probe [chosen] in order, one re-run each, until
+   the first failure.  Returns how many were probed and the failing
+   instant, the two things a single-pass report must agree on. *)
+let rerun_explore ~probe chosen =
+  let rec go n = function
+    | [] -> (n, None)
+    | t :: rest -> if Result.is_ok (probe t) then go (n + 1) rest else (n + 1, Some t)
+  in
+  go 0 chosen
+
+let check_report_matches what (r : Crashtest.Engine.report) ~final ~candidates (tested, failed) =
+  check_int (what ^ ": final time") final r.Crashtest.Engine.final_time;
+  check_int (what ^ ": candidates") candidates r.Crashtest.Engine.candidates;
+  check_int (what ^ ": tested") tested r.Crashtest.Engine.tested;
+  Alcotest.(check (option int))
+    (what ^ ": first failing instant")
+    failed
+    (match r.Crashtest.Engine.failures with f :: _ -> Some f.Crashtest.Engine.crash_at | [] -> None)
+
+(* The explorers' instants for a cell, from a traced crash-free
+   reference run of [arm ()]: (final time, candidates, chosen). *)
+let reference_instants ?drain ~points ~seed arm =
+  let sim = arm () in
+  let tr = Memsim.Sim.enable_trace ~capacity:(1 lsl 17) sim in
+  Memsim.Sim.run sim;
+  let final = Memsim.Sim.now sim in
+  let candidates, chosen =
+    Crashtest.Engine.choose_instants ?drain ~points ~seed ~exhaustive:false ~final_time:final tr
+  in
+  (final, candidates, chosen)

@@ -182,6 +182,81 @@ let test_nofence algorithm () =
 
 (* ---------- mutation tests: injected ordering bugs must be caught ---------- *)
 
+(* ---------- single pass vs re-run ---------- *)
+
+(* The explorer probes every instant in one paused run; the re-run path
+   it replaced stays as the oracle.  These helpers rebuild the engine's
+   steps from public API: the prepared image, and a fresh workload
+   instance armed on it. *)
+let with_prepared_image scenario model algorithm f =
+  let cfg =
+    Config.make ~nvm_channels:4 ~heap_words:scenario.Engine.heap_words ~track_media:true model
+  in
+  let sim = Sim.create cfg in
+  let ptm =
+    Ptm.create ~algorithm ~coalesce:scenario.Engine.coalesce
+      ~max_threads:scenario.Engine.threads
+      ~log_words_per_thread:scenario.Engine.log_words_per_thread (Sim.machine sim)
+  in
+  scenario.Engine.prepare ptm;
+  Sim.persist_all sim;
+  let image = Filename.temp_file "test-crashtest" ".img" in
+  Sim.save_image sim image;
+  Fun.protect ~finally:(fun () -> Sys.remove image) (fun () -> f cfg image)
+
+let arm ?inject cfg scenario algorithm image () =
+  let sim = Sim.load_image cfg image in
+  let ptm = Ptm.recover ~algorithm ~coalesce:scenario.Engine.coalesce ?inject (Sim.machine sim) in
+  let inst = scenario.Engine.fresh ~seed in
+  for tid = 0 to scenario.Engine.threads - 1 do
+    ignore (Sim.spawn sim (fun () -> inst.Engine.worker ~tid ptm) : int)
+  done;
+  sim
+
+(* [explore]'s report must equal a re-run explorer's built on
+   [run_point] over the same instants. *)
+let check_against_rerun ?inject ~points scenario model algorithm report =
+  with_prepared_image scenario model algorithm (fun cfg image ->
+      let final, candidates, chosen =
+        Helpers.reference_instants ~points ~seed (arm ?inject cfg scenario algorithm image)
+      in
+      Helpers.check_report_matches "single pass vs re-run" report ~final ~candidates
+        (Helpers.rerun_explore chosen ~probe:(fun crash_at ->
+             Engine.run_point ?inject ~model ~algorithm ~seed ~crash_at scenario)))
+
+(* At every chosen instant the paused run's durable image equals the
+   crash re-run's, and the whole report equals the re-run explorer's. *)
+let test_single_pass scenario model algorithm () =
+  let points = 64 in
+  let report = Engine.explore ~points ~seed ~model ~algorithm scenario in
+  Helpers.check_bool (Format.asprintf "%a" Engine.pp_report report) true (Engine.ok report);
+  with_prepared_image scenario model algorithm (fun cfg image ->
+      let arm = arm cfg scenario algorithm image in
+      let _, _, chosen = Helpers.reference_instants ~points ~seed arm in
+      Helpers.paused_images_match
+        ~what:(Printf.sprintf "%s/%s/%s" scenario.Engine.name model.Config.model_name
+                 (Ptm.algorithm_name algorithm))
+        ~arm (Array.of_list chosen));
+  check_against_rerun ~points scenario model algorithm report
+
+let single_pass_cases =
+  List.map
+    (fun (scenario, model, algorithm) ->
+      Alcotest.test_case
+        (Printf.sprintf "single pass = re-run %s/%s/%s" scenario.Engine.name
+           model.Config.model_name (Ptm.algorithm_name algorithm))
+        `Slow
+        (test_single_pass scenario model algorithm))
+    [
+      (Scenarios.bank (), Config.optane_adr, Ptm.Redo);
+      (Scenarios.btree (), Config.optane_eadr, Ptm.Undo);
+      (Scenarios.counters (), Config.pdram, Ptm.Redo);
+      (Scenarios.counters (), Config.pdram_lite, Ptm.Undo);
+      (Scenarios.bank (), Config.transient_cache, Ptm.Redo);
+      (Scenarios.kv_incr (), Config.htm_commit, Ptm.Htm);
+      (Scenarios.mod_btree (), Config.optane_adr, Ptm.Mod);
+    ]
+
 (* Each case arms one deliberate PTM ordering bug (Ptm.inject) on a
    (scenario, model, algorithm) cell where the bug's durability hole is
    reachable, and requires the crash sweep to reject it — a checker
@@ -222,7 +297,10 @@ let test_mutation ~inject ~scenario ~model ~algorithm () =
     | None -> Alcotest.fail "failure carries no telemetry dump"
     | Some dir ->
       Helpers.check_bool "dlin counterexample rides the telemetry dump" true
-        (Sys.file_exists (Filename.concat dir "dlin.jsonl")))
+        (Sys.file_exists (Filename.concat dir "dlin.jsonl")));
+    (* The single pass fails where the re-run explorer does, after as
+       many probes. *)
+    check_against_rerun ~inject ~points:80 scenario model algorithm report
 
 let mutation_cases =
   [
@@ -375,9 +453,30 @@ let test_run_point_alloc () =
     (Printf.sprintf "run_point allocated %.0f words (bound %.0f)" words alloc_bound_words)
     true (words < alloc_bound_words)
 
+(* Single-pass probing: one workload run for all instants instead of
+   one re-run each.  A cell of 64 probes must stay under 50 k words per
+   probe, image making and the reference run included; re-running the
+   workload per probe costs about 77 k. *)
+let explore_alloc_bound_words = 50_000.
+
+let test_explore_alloc () =
+  let before = allocated_words () in
+  let report =
+    Engine.explore ~points:64 ~seed ~model:Config.optane_adr ~algorithm:Ptm.Redo
+      (Scenarios.bank ())
+  in
+  let per_probe = (allocated_words () -. before) /. float_of_int report.Engine.tested in
+  Helpers.check_bool "cell passes" true (Engine.ok report);
+  Helpers.check_int "probed 64 instants" 64 report.Engine.tested;
+  Helpers.check_bool
+    (Printf.sprintf "explore allocated %.0f words per probe (bound %.0f)" per_probe
+       explore_alloc_bound_words)
+    true
+    (per_probe < explore_alloc_bound_words)
+
 let suite =
   matrix_cases @ coalescing_cases @ mod_cases @ kvserve_cases @ extension_domain_cases
-  @ mutation_cases
+  @ single_pass_cases @ mutation_cases
   @ [
       Alcotest.test_case "nofence-adr is caught (redo)" `Slow (test_nofence Ptm.Redo);
       Alcotest.test_case "nofence-adr is caught (undo)" `Slow (test_nofence Ptm.Undo);
@@ -391,4 +490,6 @@ let suite =
       Alcotest.test_case "crash-leaked arena is a warning" `Quick test_crash_leak_is_warning;
       Alcotest.test_case "run_point allocation bound (bank/adr/redo)" `Quick
         test_run_point_alloc;
+      Alcotest.test_case "explore allocation bound per probe (bank/adr/redo)" `Quick
+        test_explore_alloc;
     ]

@@ -212,6 +212,55 @@ let matrix_cases =
       Config.pdram_lite;
     ]
 
+(* ---------- single pass vs re-run ---------- *)
+
+(* The engine's FAMS steps rebuilt from public API: the prepared image
+   (populate, checkpoint, persist) and a fresh mutator armed on it. *)
+let with_prepared_image scenario model granularity f =
+  let words = scenario.Engine.f_words in
+  let cfg =
+    Config.make ~nvm_channels:4 ~heap_words:(Fams.required_heap_words ~words) ~track_media:true
+      model
+  in
+  let sim = Sim.create cfg in
+  let fams = Fams.create ~granularity ~words sim in
+  scenario.Engine.f_prepare fams;
+  Fams.checkpoint_raw fams;
+  Sim.persist_all sim;
+  let image = Filename.temp_file "test-fams" ".img" in
+  Sim.save_image sim image;
+  Fun.protect ~finally:(fun () -> Sys.remove image) (fun () -> f cfg image)
+
+let arm ?inject cfg scenario image () =
+  let sim = Sim.load_image cfg image in
+  let fams = Fams.recover ?inject sim in
+  let inst = scenario.Engine.f_fresh ~seed in
+  ignore (Sim.spawn sim (fun () -> inst.Engine.f_worker sim fams) : int);
+  sim
+
+(* [explore_fams]'s report must equal a re-run explorer's built on
+   [run_fams_point] over the same instants. *)
+let check_against_rerun ?inject ~points scenario model granularity report =
+  with_prepared_image scenario model granularity (fun cfg image ->
+      let final, candidates, chosen =
+        Helpers.reference_instants ~drain:cfg ~points ~seed (arm ?inject cfg scenario image)
+      in
+      Helpers.check_report_matches "single pass vs re-run" report ~final ~candidates
+        (Helpers.rerun_explore chosen ~probe:(fun crash_at ->
+             Engine.run_fams_point ?inject ~model ~granularity ~seed ~crash_at scenario)))
+
+let test_single_pass () =
+  let scenario = Scenarios.fams_bank () in
+  let model = Config.optane_adr and granularity = Fams.Line and points = 64 in
+  let report = Engine.explore_fams ~points ~seed ~model ~granularity scenario in
+  Helpers.check_bool (Format.asprintf "%a" Engine.pp_report report) true (Engine.ok report);
+  with_prepared_image scenario model granularity (fun cfg image ->
+      let arm = arm cfg scenario image in
+      let _, _, chosen = Helpers.reference_instants ~drain:cfg ~points ~seed arm in
+      Helpers.paused_images_match ~what:"fams-bank/optane-adr/fams-line" ~arm
+        (Array.of_list chosen));
+  check_against_rerun ~points scenario model granularity report
+
 (* ---------- mutation tests: injected FAMS bugs must be caught ---------- *)
 
 let test_fams_mutation ~inject ~granularity ~model () =
@@ -254,7 +303,10 @@ let test_fams_mutation ~inject ~granularity ~model () =
          rejection (Corrupt_image) legitimately does not. *)
       if not (String.starts_with ~prefix:"recovery rejected" f.Engine.reason) then
         Helpers.check_bool "dlin counterexample rides the telemetry dump" true
-          (Sys.file_exists (Filename.concat dir "dlin.jsonl")))
+          (Sys.file_exists (Filename.concat dir "dlin.jsonl")));
+    (* The single pass fails where the re-run explorer does, after as
+       many probes. *)
+    check_against_rerun ~inject ~points:80 scenario model granularity report
 
 let mutation_cases =
   [
@@ -319,4 +371,6 @@ let suite =
     Alcotest.test_case "snap phases partition sync time" `Quick test_phase_exactness;
     Alcotest.test_case "sparse heap image roundtrip" `Quick test_sparse_image;
   ]
-  @ matrix_cases @ mutation_cases
+  @ matrix_cases
+  @ [ Alcotest.test_case "single pass = re-run fams-bank/optane-adr/fams-line" `Slow test_single_pass ]
+  @ mutation_cases

@@ -733,6 +733,110 @@ let test_meta_contract () =
       all_zero "after load_image" loaded;
       Helpers.check_int "load_image keeps the heap" 77 (loaded.Machine.raw_read 3))
 
+(* ---------- stops: pausing a run at chosen instants ---------- *)
+
+(* Four threads of seeded stores with unfenced and fenced flushes on an
+   interleaved-channel ADR machine: WPQ service completions keep
+   landing between events, so consecutive instants differ in what a
+   power failure would keep. *)
+let stop_machine ?(model = Config.optane_adr) () =
+  let sim = Sim.create (Config.make ~nvm_channels:4 ~heap_words:(1 lsl 14) model) in
+  let m = Sim.machine sim in
+  for t = 0 to 3 do
+    let rng = Repro_util.Rng.create (17 + t) in
+    ignore
+      (Sim.spawn sim (fun () ->
+           for i = 1 to 60 do
+             let a = 64 * Repro_util.Rng.int rng 200 in
+             m.Machine.store a ((100 * t) + i);
+             m.Machine.clwb a;
+             if i mod 3 = 0 then m.Machine.sfence ()
+           done)
+        : int)
+  done;
+  sim
+
+let stop_run ?crash_at ?stops ?on_stop () =
+  let sim = stop_machine () in
+  let tr = Sim.enable_trace ~capacity:(1 lsl 14) sim in
+  Sim.run ?crash_at ?stops ?on_stop sim;
+  (sim, tr)
+
+(* Instants spread over the run, including ones past its end. *)
+let stop_instants final =
+  Array.append (Array.init 40 (fun i -> 1 + (i * final / 40))) [| final; final + 1; final + 500 |]
+
+let test_stops_fire_in_order () =
+  let plain, plain_tr = stop_run () in
+  let final = Sim.now plain in
+  let stops = stop_instants final in
+  let fired = ref [] in
+  let sim, tr =
+    stop_run ~stops
+      ~on_stop:(fun s ->
+        fired := s :: !fired;
+        true)
+      ()
+  in
+  Alcotest.(check (list int))
+    "every stop up to the last event fires once, in order; later ones never"
+    (List.filter (fun s -> s <= final) (Array.to_list stops))
+    (List.rev !fired);
+  Helpers.check_bool "not crashed" false (Sim.crashed sim);
+  Helpers.check_int "same final time" final (Sim.now sim);
+  Helpers.check_bool "same Sim.Stats" true (Sim.Stats.get plain = Sim.Stats.get sim);
+  Helpers.check_bool "same trace" true (Trace.tail plain_tr = Trace.tail tr);
+  Helpers.check_bool "same final image" true
+    (Pheap.equal (Sim.durable_image plain) (Sim.durable_image sim))
+
+(* At every stop, the paused machine's durable image as of the stop is
+   the image a run crashed there leaves. *)
+let test_stop_image_is_crash_image () =
+  List.iter
+    (fun model ->
+      let final =
+        let sim = stop_machine ~model () in
+        Sim.run sim;
+        Sim.now sim
+      in
+      let paused = ref [] in
+      let sim = stop_machine ~model () in
+      Sim.run sim ~stops:(stop_instants final) ~on_stop:(fun s ->
+          paused := (s, Sim.durable_image ~at:s sim) :: !paused;
+          true);
+      Helpers.check_bool "the images differ over the run" true
+        (List.exists (fun (_, i) -> not (Pheap.equal i (snd (List.hd !paused)))) !paused);
+      List.iter
+        (fun (s, image) ->
+          let crashed = stop_machine ~model () in
+          Sim.run ~crash_at:s crashed;
+          Helpers.check_bool
+            (Printf.sprintf "%s: image at %d equals the crash image" model.Config.model_name s)
+            true
+            (Pheap.equal image (Sim.durable_image crashed)))
+        !paused)
+    [ Config.optane_adr; Config.optane_eadr; Config.pdram ]
+
+let test_stop_false_is_crash () =
+  let final = Sim.now (fst (stop_run ())) in
+  let at = final / 3 in
+  let sim, _ = stop_run ~stops:[| final / 4; at; final / 2 |] ~on_stop:(fun s -> s <> at) () in
+  let crashed, _ = stop_run ~crash_at:at () in
+  Helpers.check_bool "crashed" true (Sim.crashed sim);
+  Helpers.check_int "time bounded like crash_at" (Sim.now crashed) (Sim.now sim);
+  Helpers.check_bool "same image as crash_at" true
+    (Pheap.equal (Sim.durable_image crashed) (Sim.durable_image sim))
+
+let test_stops_must_be_sorted () =
+  List.iter
+    (fun stops ->
+      match Sim.run ~stops (stop_machine ()) with
+      | exception Invalid_argument _ -> ()
+      | () ->
+        Alcotest.failf "stops [%s] accepted"
+          (String.concat "; " (Array.to_list (Array.map string_of_int stops))))
+    [ [| 50; 10 |]; [| 10; 10 |]; [| 1; 5; 3 |] ]
+
 let suite =
   [
     Alcotest.test_case "sched: virtual-time order" `Quick test_sched_virtual_time_order;
@@ -775,4 +879,10 @@ let suite =
     test_pending_differential;
     Alcotest.test_case "pending: overflow + recycle" `Quick test_pending_overflow_recycle;
     Alcotest.test_case "sim: metadata contract" `Quick test_meta_contract;
+    Alcotest.test_case "stops: fire once, in order, observably inert" `Quick
+      test_stops_fire_in_order;
+    Alcotest.test_case "stops: paused image is the crash image" `Quick
+      test_stop_image_is_crash_image;
+    Alcotest.test_case "stops: false ends the run as a crash" `Quick test_stop_false_is_crash;
+    Alcotest.test_case "stops: unsorted array is rejected" `Quick test_stops_must_be_sorted;
   ]
