@@ -61,7 +61,7 @@ let run_experiment name =
         Format.printf "%a" Table.print table;
         write_csv (Printf.sprintf "%s-%d" name i) table)
       outcome.Experiments.tables;
-    write_json name ~wall_s outcome.Experiments.results;
+    write_json name ~wall_s ~extra:outcome.Experiments.extra outcome.Experiments.results;
     Format.printf "  [%s: %d data points, %.1fs]@." name
       (List.length outcome.Experiments.results)
       wall_s

@@ -24,6 +24,19 @@ type scenario = {
   fresh : seed:int -> instance;
 }
 
+type fams_instance = {
+  f_worker : Sim.t -> Fams.t -> unit;
+  f_validate : crashed:bool -> Sim.t -> Fams.t -> (unit, string) result;
+  f_oracle : (crashed:bool -> Sim.t -> Fams.t -> (unit, oracle_failure) result) option;
+}
+
+type fams_scenario = {
+  f_name : string;
+  f_words : int;
+  f_prepare : Fams.t -> unit;
+  f_fresh : seed:int -> fams_instance;
+}
+
 type failure = {
   crash_at : int;
   min_crash_at : int;
@@ -62,43 +75,40 @@ let pp_report ppf r =
 
 (* ---------- env knobs ---------- *)
 
+(* An unset or blank variable takes the default; anything else must be
+   an integer, or the cell is refused rather than run on a setting
+   nobody asked for. *)
 let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some s -> ( try int_of_string (String.trim s) with _ -> default)
-  | None -> default
+  match Option.map String.trim (Sys.getenv_opt name) with
+  | None | Some "" -> default
+  | Some s -> (
+    match int_of_string_opt s with
+    | Some n -> n
+    | None -> invalid_arg (Printf.sprintf "%s=%S: not an integer" name s))
 
 let exhaustive_from_env () =
   match Sys.getenv_opt "CRASHTEST_EXHAUSTIVE" with
   | Some ("1" | "true" | "yes") -> true
   | Some _ | None -> false
 
-(* ---------- one execution ---------- *)
+let check_points points =
+  if points <= 0 then
+    invalid_arg
+      (Printf.sprintf "crash sample size %d (points, CRASHTEST_POINTS): not positive" points)
 
-let make_config ~nvm_channels scenario model =
-  Config.make ~nvm_channels ~heap_words:scenario.heap_words ~track_media:true model
+let knobs ?points ?seed ?exhaustive () =
+  let points = match points with Some p -> p | None -> getenv_int "CRASHTEST_POINTS" 64 in
+  check_points points;
+  ( points,
+    (match seed with Some s -> s | None -> getenv_int "CRASHTEST_SEED" 1),
+    match exhaustive with Some b -> b | None -> exhaustive_from_env () )
 
-(* Format the region once, run the population phase, and persist the
-   result to an image file so every crash-point probe reloads identical
-   initial state instead of re-running [prepare]. *)
-let prepare_image cfg scenario ~algorithm =
-  let sim = Sim.create cfg in
-  let ptm =
-    Ptm.create ~algorithm ~coalesce:scenario.coalesce ~max_threads:scenario.threads
-      ~log_words_per_thread:scenario.log_words_per_thread (Sim.machine sim)
-  in
-  scenario.prepare ptm;
-  Sim.persist_all sim;
-  let path = Filename.temp_file "crashtest" ".img" in
-  Sim.save_image sim path;
-  path
-
-let with_image image f =
-  Fun.protect ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ()) f
+(* ---------- verdicts ---------- *)
 
 (* Run the dlin oracle (when the scenario has one) before the shadow
    validator, so a durable-linearizability violation — which carries a
    replayable counterexample dump — takes precedence over the coarser
-   invariant check's message.  Shared by both APIs. *)
+   invariant check's message. *)
 let judge oracle validate ~crashed sim x =
   let first = match oracle with None -> Ok () | Some o -> o ~crashed sim x in
   match first with
@@ -118,62 +128,6 @@ let integrity stage region =
         counterexample = None;
       }
 
-(* A workload instance spawned on a machine loaded from the prepared
-   image, not yet run, with the two verdicts a probe can reach on it. *)
-type armed = {
-  sim : Sim.t;
-  trace : Trace.t option;
-  clean : unit -> (unit, oracle_failure) result;
-      (* the instance judged on the finished machine *)
-  crash : at:int option -> (unit, oracle_failure) result;
-      (* the machine a power failure leaves — at [at] when the run is
-         paused there — checked, recovered, checked again and judged *)
-}
-
-(* [recover] attaches the API to the rebooted machine, or rejects it.
-   A crash must never corrupt region metadata, only leave in-flight
-   logs / leaked arenas behind, so integrity is checked on the raw
-   reboot as well as after recovery. *)
-let arm ~sim ~trace ~live ~recover ~region ~judge =
-  let crash ~at =
-    let sim2 = Sim.reboot ?at sim in
-    let ( let* ) = Result.bind in
-    let* () = integrity "pre-recovery" (Pmem.Region.attach (Sim.machine sim2)) in
-    let* x = recover sim2 in
-    let* () = integrity "post-recovery" (region x) in
-    judge ~crashed:true sim2 x
-  in
-  { sim; trace; clean = (fun () -> judge ~crashed:false sim live); crash }
-
-(* Arm the scenario's workload on the prepared image.  [inject] arms a
-   deliberate ordering bug in the PTM runtime (mutation tests); the
-   prepared image is always populated without injection. *)
-let load ?inject cfg scenario ~algorithm ~seed ~image ~trace_capacity =
-  let recover m = Ptm.recover ~algorithm ~coalesce:scenario.coalesce ?inject m in
-  let sim = Sim.load_image cfg image in
-  let ptm = recover (Sim.machine sim) in
-  let trace =
-    if trace_capacity > 0 then Some (Sim.enable_trace ~capacity:trace_capacity sim) else None
-  in
-  let inst = scenario.fresh ~seed in
-  for tid = 0 to scenario.threads - 1 do
-    ignore (Sim.spawn sim (fun () -> inst.worker ~tid ptm))
-  done;
-  arm ~sim ~trace ~live:ptm
-    ~recover:(fun sim2 -> Ok (recover (Sim.machine sim2)))
-    ~region:Ptm.region ~judge:(judge inst.oracle inst.validate)
-
-(* The re-run path: run an armed instance to the end, or crash it at
-   [crash_at], and judge it.  Shrinking, replay and failure telemetry
-   use it; exploration probes in one pass instead (see [probe_all]).
-   Returns the verdict, the final virtual time and the trace. *)
-let run_armed ?crash_at a =
-  Sim.run ?crash_at a.sim;
-  let verdict = if Sim.crashed a.sim then a.crash ~at:None else a.clean () in
-  (verdict, Sim.now a.sim, a.trace)
-
-(* ---------- failure telemetry ---------- *)
-
 (* On an oracle failure, the minimal failing instant is re-run with the
    phase profiler and machine trace attached, and the artifacts are
    dumped next to the replay line.  The series sampler stays off: a
@@ -186,51 +140,224 @@ let failure_telemetry_config =
     machine_trace_capacity = 1 lsl 14;
   }
 
-let dump_failure_telemetry ?inject cfg scenario ~model ~algorithm ~seed ~image ~crash_at =
+(* ---------- the subject: which crash-consistency API a cell exercises ---------- *)
+
+let fams_algorithm_name granularity = "fams-" ^ Fams.granularity_name granularity
+
+module Subject = struct
+  type started = {
+    clean : unit -> (unit, oracle_failure) result;
+    recover :
+      Sim.t -> (Pmem.Region.t * (unit -> (unit, oracle_failure) result), oracle_failure) result;
+    telemetry : Telemetry.Export.run_meta -> (string * string) list;
+  }
+
+  type t = {
+    scenario : string;
+    algorithm : string;
+    inject : string option;
+    threads : int;
+    heap_words : int;
+    populate : Sim.t -> unit;
+    start : seed:int -> telemetry:bool -> Sim.t -> started;
+    drains : bool;
+  }
+
+  let ptm ?inject ~algorithm (sc : scenario) =
+    let recover m = Ptm.recover ~algorithm ~coalesce:sc.coalesce ?inject m in
+    let start ~seed ~telemetry sim =
+      let ptm = recover (Sim.machine sim) in
+      let capture =
+        if telemetry then Some (Telemetry.attach ~config:failure_telemetry_config sim ptm)
+        else None
+      in
+      let inst = sc.fresh ~seed in
+      for tid = 0 to sc.threads - 1 do
+        ignore (Sim.spawn sim (fun () -> inst.worker ~tid ptm))
+      done;
+      let judge = judge inst.oracle inst.validate in
+      let telemetry meta =
+        match capture with
+        | None -> []
+        | Some cap ->
+          (* Profile the post-crash recovery on the rebooted machine
+             too, so the dump also shows what log replay did. *)
+          let recovery () =
+            let m2 = Sim.machine (Sim.reboot sim) in
+            let profiler = Pstm.Profile.create m2 in
+            ignore (Ptm.recover ~algorithm ~coalesce:sc.coalesce ~profiler m2 : Ptm.t);
+            ("recovery.jsonl", Telemetry.Export.profile_jsonl meta profiler)
+          in
+          Telemetry.files meta cap @ if Sim.crashed sim then [ recovery () ] else []
+      in
+      {
+        clean = (fun () -> judge ~crashed:false sim ptm);
+        recover =
+          (fun sim2 ->
+            let x = recover (Sim.machine sim2) in
+            Ok (Ptm.region x, fun () -> judge ~crashed:true sim2 x));
+        telemetry;
+      }
+    in
+    {
+      scenario = sc.name;
+      algorithm = Ptm.algorithm_name algorithm;
+      inject = Option.map Ptm.inject_name inject;
+      threads = sc.threads;
+      heap_words = sc.heap_words;
+      populate =
+        (fun sim ->
+          sc.prepare
+            (Ptm.create ~algorithm ~coalesce:sc.coalesce ~max_threads:sc.threads
+               ~log_words_per_thread:sc.log_words_per_thread (Sim.machine sim)));
+      start;
+      drains = false;
+    }
+
+  (* [Telemetry.attach] is PTM-shaped, so a FAMS capture is the phase
+     profiler (sweep / publish / apply spans) plus the machine trace,
+     exported directly. *)
+  let fams ?inject ~granularity (sc : fams_scenario) =
+    let start ~seed ~telemetry sim =
+      let profiler =
+        if telemetry then
+          Some
+            (Pstm.Profile.create
+               ~wpq_stall_probe:(fun tid -> Sim.wpq_stall_ns_of sim ~tid)
+               (Sim.machine sim))
+        else None
+      in
+      let fams = Fams.recover ?inject ?profiler sim in
+      let trace =
+        if telemetry then
+          Some
+            (Sim.enable_trace ~capacity:failure_telemetry_config.Telemetry.machine_trace_capacity
+               sim)
+        else None
+      in
+      let inst = sc.f_fresh ~seed in
+      ignore (Sim.spawn sim (fun () -> inst.f_worker sim fams));
+      let judge = judge inst.f_oracle inst.f_validate in
+      {
+        clean = (fun () -> judge ~crashed:false sim fams);
+        recover =
+          (fun sim2 ->
+            match Fams.recover ?inject sim2 with
+            | x -> Ok (Fams.region x, fun () -> judge ~crashed:true sim2 x)
+            | exception Machine.Corrupt_image msg ->
+              Error { fail_reason = "recovery rejected the image: " ^ msg; counterexample = None });
+        telemetry =
+          (fun meta ->
+            match profiler with
+            | None -> []
+            | Some p ->
+              [
+                ("profile.jsonl", Telemetry.Export.profile_jsonl meta p);
+                ("trace.json", Telemetry.Export.chrome_trace ?machine_trace:trace meta p);
+              ]);
+      }
+    in
+    {
+      scenario = sc.f_name;
+      algorithm = fams_algorithm_name granularity;
+      inject = Option.map Fams.inject_name inject;
+      threads = 1;
+      heap_words = Fams.required_heap_words ~words:sc.f_words;
+      populate =
+        (fun sim ->
+          let fams = Fams.create ~granularity ~words:sc.f_words sim in
+          sc.f_prepare fams;
+          Fams.checkpoint_raw fams);
+      start;
+      drains = true;
+    }
+end
+
+(* ---------- one execution ---------- *)
+
+(* Format the region once, run the population phase, and persist the
+   result to an image file so every execution of the cell reloads
+   identical initial state instead of re-running [populate]. *)
+let with_prepared_image ~nvm_channels ~model (s : Subject.t) f =
+  let cfg = Config.make ~nvm_channels ~heap_words:s.heap_words ~track_media:true model in
+  let sim = Sim.create cfg in
+  s.populate sim;
+  Sim.persist_all sim;
+  let image = Filename.temp_file "crashtest" ".img" in
+  Sim.save_image sim image;
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove image with Sys_error _ -> ())
+    (fun () -> f cfg image)
+
+(* A workload started on a machine loaded from the prepared image, not
+   yet run. *)
+type armed = { sim : Sim.t; trace : Trace.t option; run : Subject.started }
+
+let load ?(trace_capacity = 0) ?(telemetry = false) cfg (s : Subject.t) ~seed ~image =
+  let sim = Sim.load_image cfg image in
+  let run = s.start ~seed ~telemetry sim in
+  let trace =
+    if trace_capacity > 0 then Some (Sim.enable_trace ~capacity:trace_capacity sim) else None
+  in
+  { sim; trace; run }
+
+(* The machine a power failure leaves — at [at] when the run is paused
+   there — checked, recovered, checked again and judged.  A crash must
+   never corrupt region metadata, only leave in-flight logs / leaked
+   arenas behind, so integrity is checked on the raw reboot as well as
+   after recovery. *)
+let crash a ~at =
+  let sim2 = Sim.reboot ?at a.sim in
+  let ( let* ) = Result.bind in
+  let* () = integrity "pre-recovery" (Pmem.Region.attach (Sim.machine sim2)) in
+  let* region, verdict = a.run.recover sim2 in
+  let* () = integrity "post-recovery" region in
+  verdict ()
+
+(* The re-run path: run an armed instance to the end, or crash it at
+   [crash_at], and judge it.  Shrinking, replay and failure telemetry
+   use it; exploration probes in one pass instead (see [probe_all]).
+   Returns the verdict, the final virtual time and the trace. *)
+let run_armed ?crash_at a =
+  Sim.run ?crash_at a.sim;
+  let verdict = if Sim.crashed a.sim then crash a ~at:None else a.run.clean () in
+  (verdict, Sim.now a.sim, a.trace)
+
+let dump_failure_telemetry cfg (s : Subject.t) ~model ~seed ~image ~crash_at =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "crashtest-%s-%s-%s-s%d-t%d%s" scenario.name model.Config.model_name
-         (Ptm.algorithm_name algorithm) seed crash_at
-         (match inject with None -> "" | Some i -> "-" ^ Ptm.inject_name i))
+      (Printf.sprintf "crashtest-%s-%s-%s-s%d-t%d%s" s.scenario model.Config.model_name
+         s.algorithm seed crash_at
+         (match s.inject with None -> "" | Some i -> "-" ^ i))
   in
-  let sim = Sim.load_image cfg image in
-  let ptm = Ptm.recover ~algorithm ~coalesce:scenario.coalesce ?inject (Sim.machine sim) in
-  let cap = Telemetry.attach ~config:failure_telemetry_config sim ptm in
-  let inst = scenario.fresh ~seed in
-  for tid = 0 to scenario.threads - 1 do
-    ignore (Sim.spawn sim (fun () -> inst.worker ~tid ptm))
-  done;
-  Sim.run ~crash_at sim;
+  let a = load ~telemetry:true cfg s ~seed ~image in
+  Sim.run ~crash_at a.sim;
   let meta =
     {
-      Telemetry.Export.workload = scenario.name;
+      Telemetry.Export.workload = s.scenario;
       model = model.Config.model_name;
-      algorithm = Ptm.algorithm_name algorithm;
-      threads = scenario.threads;
+      algorithm = s.algorithm;
+      threads = s.threads;
       seed;
       duration_ns = crash_at;
     }
   in
-  ignore (Telemetry.dump ~dir meta cap : string list);
-  (* Profile the post-crash recovery on the rebooted machine too, so the
-     dump also shows what log replay did. *)
-  if Sim.crashed sim then begin
-    let m2 = Sim.machine (Sim.reboot sim) in
-    let profiler = Pstm.Profile.create m2 in
-    ignore (Ptm.recover ~algorithm ~coalesce:scenario.coalesce ~profiler m2 : Ptm.t);
-    let oc = open_out_bin (Filename.concat dir "recovery.jsonl") in
-    output_string oc (Telemetry.Export.profile_jsonl meta profiler);
-    close_out oc
-  end;
+  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+  List.iter
+    (fun (name, body) ->
+      let oc = open_out_bin (Filename.concat dir name) in
+      output_string oc body;
+      close_out oc)
+    (a.run.telemetry meta);
   dir
 
 (* ---------- exploration ---------- *)
 
-let replay_command ?inject scenario_name model_name alg seed crash_at =
-  Printf.sprintf "CRASHTEST_REPLAY='%s:%s:%s:%d:%d%s' dune build @crashtest" scenario_name
-    model_name (Ptm.algorithm_name alg) seed crash_at
-    (match inject with None -> "" | Some i -> ":" ^ Ptm.inject_name i)
+let replay_command (s : Subject.t) ~model ~seed crash_at =
+  Printf.sprintf "CRASHTEST_REPLAY='%s:%s:%s:%d:%d%s' dune build @crashtest" s.scenario
+    model.Config.model_name s.algorithm seed crash_at
+    (match s.inject with None -> "" | Some i -> ":" ^ i)
 
 (* WPQ drains happen inside a mutator's quiet intervals — fence waits,
    a coalesced clwb batch paying its issue slots, admission stalls —
@@ -267,6 +394,7 @@ let drain_instants cfg tr =
   walk [] 0 (Trace.tail tr)
 
 let choose_instants ?drain ~points ~seed ~exhaustive ~final_time tr =
+  check_points points;
   let keep l = List.sort_uniq compare l |> List.filter (fun t -> t > 0 && t <= final_time) in
   let drained = match drain with None -> [] | Some cfg -> keep (drain_instants cfg tr) in
   let grid = List.init 64 (fun i -> (i + 1) * final_time / 65) in
@@ -295,7 +423,7 @@ let probe_all a stops =
   let tested = ref 0 and failed = ref None in
   let on_stop t =
     incr tested;
-    match a.crash ~at:(Some t) with
+    match crash a ~at:(Some t) with
     | Ok () -> true
     | Error f ->
       failed := Some (t, f);
@@ -303,7 +431,7 @@ let probe_all a stops =
   in
   Sim.run ~stops ~on_stop a.sim;
   (if Option.is_none !failed && !tested < Array.length stops then
-     match a.clean () with
+     match a.run.clean () with
      | Ok () -> tested := Array.length stops
      | Error f ->
        failed := Some (stops.(!tested), f);
@@ -341,90 +469,84 @@ let shrink ~probe ~budget t0 =
   done;
   !best
 
-let knobs ?points ?seed ?exhaustive () =
-  ( (match points with Some p -> p | None -> getenv_int "CRASHTEST_POINTS" 64),
-    (match seed with Some s -> s | None -> getenv_int "CRASHTEST_SEED" 1),
-    match exhaustive with Some b -> b | None -> exhaustive_from_env () )
-
-(* One matrix cell, for either API.  [load trace_capacity] arms a fresh
-   instance from the prepared image; [dump t] writes the failure
-   telemetry of a re-run crashed at [t]; [replay t] is the command that
-   reproduces [t]; [drain] (FAMS) adds the WPQ drain-window instants of
-   that configuration to the candidates. *)
-let explore_cell ?drain ~points ~seed ~exhaustive ~shrink_budget ~scenario ~model ~algorithm
-    ~load ~dump ~replay () =
-  (* Crash-free reference run, traced: yields the final time and the
-     interesting instants, and sanity-checks the oracle.  The injected
-     ordering bugs only weaken durability, never the cache-visible
-     heap, so the reference must pass even under injection. *)
-  let verdict, final_time, tr = run_armed (load (1 lsl 17)) in
-  (match verdict with
-  | Ok () -> ()
-  | Error e ->
-    failwith
-      (Printf.sprintf "crashtest %s/%s: reference run violates the model (harness bug): %s"
-         scenario model.Config.model_name e.fail_reason));
-  let candidates, chosen =
-    choose_instants ?drain ~points ~seed ~exhaustive ~final_time (Option.get tr)
-  in
-  let tested, first = probe_all (load 0) (Array.of_list chosen) in
-  let failures =
-    match first with
-    | None -> []
-    | Some (t, first_fail) ->
-      let probe c =
-        let v, _, _ = run_armed ~crash_at:c (load 0) in
-        v
-      in
-      let min_t = shrink ~probe ~budget:shrink_budget t in
-      let fail = match probe min_t with Error f -> f | Ok () -> first_fail in
-      let telemetry_dir = try Some (dump min_t) with Sys_error _ -> None in
-      (* The dlin counterexample rides the same telemetry path as the
-         other failure artifacts: one JSONL next to the replay line. *)
-      (match (telemetry_dir, fail.counterexample) with
-      | Some dir, Some jsonl -> (
-        try
-          let oc = open_out_bin (Filename.concat dir "dlin.jsonl") in
-          output_string oc jsonl;
-          close_out oc
-        with Sys_error _ -> ())
-      | _ -> ());
-      [
-        {
-          crash_at = t;
-          min_crash_at = min_t;
-          reason = fail.fail_reason;
-          replay = replay min_t;
-          telemetry_dir;
-        };
-      ]
-  in
-  { scenario; model = model.Config.model_name; algorithm; seed; final_time; candidates; tested;
-    failures }
-
-let explore ?points ?seed ?exhaustive ?(shrink_budget = 24) ?(nvm_channels = 4) ?inject
-    ~model ~algorithm scenario =
+let explore_subject ?points ?seed ?exhaustive ?(shrink_budget = 24) ?(nvm_channels = 4) ~model
+    (s : Subject.t) =
   let points, seed, exhaustive = knobs ?points ?seed ?exhaustive () in
-  let cfg = make_config ~nvm_channels scenario model in
-  let image = prepare_image cfg scenario ~algorithm in
-  with_image image (fun () ->
-      explore_cell ~points ~seed ~exhaustive ~shrink_budget ~scenario:scenario.name ~model
-        ~algorithm:(Ptm.algorithm_name algorithm)
-        ~load:(fun trace_capacity ->
-          load ?inject cfg scenario ~algorithm ~seed ~image ~trace_capacity)
-        ~dump:(fun crash_at ->
-          dump_failure_telemetry ?inject cfg scenario ~model ~algorithm ~seed ~image ~crash_at)
-        ~replay:(replay_command ?inject scenario.name model.Config.model_name algorithm seed)
-        ())
-
-let run_point ?(nvm_channels = 4) ?inject ~model ~algorithm ~seed ~crash_at scenario =
-  let cfg = make_config ~nvm_channels scenario model in
-  let image = prepare_image cfg scenario ~algorithm in
-  with_image image (fun () ->
-      let v, _, _ =
-        run_armed ~crash_at (load ?inject cfg scenario ~algorithm ~seed ~image ~trace_capacity:0)
+  with_prepared_image ~nvm_channels ~model s (fun cfg image ->
+      (* Crash-free reference run, traced: yields the final time and
+         the interesting instants, and sanity-checks the oracle.  The
+         injected ordering bugs only weaken durability, never the
+         cache-visible heap, so the reference must pass even under
+         injection. *)
+      let verdict, final_time, tr =
+        run_armed (load ~trace_capacity:(1 lsl 17) cfg s ~seed ~image)
       in
+      (match verdict with
+      | Ok () -> ()
+      | Error e ->
+        failwith
+          (Printf.sprintf "crashtest %s/%s: reference run violates the model (harness bug): %s"
+             s.scenario model.Config.model_name e.fail_reason));
+      let drain = if s.drains then Some cfg else None in
+      let candidates, chosen =
+        choose_instants ?drain ~points ~seed ~exhaustive ~final_time (Option.get tr)
+      in
+      let tested, first = probe_all (load cfg s ~seed ~image) (Array.of_list chosen) in
+      let failures =
+        match first with
+        | None -> []
+        | Some (t, first_fail) ->
+          let probe c =
+            let v, _, _ = run_armed ~crash_at:c (load cfg s ~seed ~image) in
+            v
+          in
+          let min_t = shrink ~probe ~budget:shrink_budget t in
+          let fail = match probe min_t with Error f -> f | Ok () -> first_fail in
+          let telemetry_dir =
+            try Some (dump_failure_telemetry cfg s ~model ~seed ~image ~crash_at:min_t)
+            with Sys_error _ -> None
+          in
+          (* The dlin counterexample rides the same telemetry path as
+             the other failure artifacts: one JSONL next to the replay
+             line. *)
+          (match (telemetry_dir, fail.counterexample) with
+          | Some dir, Some jsonl -> (
+            try
+              let oc = open_out_bin (Filename.concat dir "dlin.jsonl") in
+              output_string oc jsonl;
+              close_out oc
+            with Sys_error _ -> ())
+          | _ -> ());
+          [
+            {
+              crash_at = t;
+              min_crash_at = min_t;
+              reason = fail.fail_reason;
+              replay = replay_command s ~model ~seed min_t;
+              telemetry_dir;
+            };
+          ]
+      in
+      { scenario = s.scenario; model = model.Config.model_name; algorithm = s.algorithm; seed;
+        final_time; candidates; tested; failures })
+
+let rerun ?(nvm_channels = 4) ~model ~seed ~crash_at s =
+  with_prepared_image ~nvm_channels ~model s (fun cfg image ->
+      let v, _, _ = run_armed ~crash_at (load cfg s ~seed ~image) in
       Result.map_error (fun f -> f.fail_reason) v)
+
+let explore ?points ?seed ?exhaustive ?shrink_budget ?nvm_channels ?inject ~model ~algorithm
+    scenario =
+  explore_subject ?points ?seed ?exhaustive ?shrink_budget ?nvm_channels ~model
+    (Subject.ptm ?inject ~algorithm scenario)
+
+let explore_fams ?points ?seed ?exhaustive ?shrink_budget ?nvm_channels ?inject ~model
+    ~granularity scenario =
+  explore_subject ?points ?seed ?exhaustive ?shrink_budget ?nvm_channels ~model
+    (Subject.fams ?inject ~granularity scenario)
+
+let run_point ?nvm_channels ?inject ~model ~algorithm ~seed ~crash_at scenario =
+  rerun ?nvm_channels ~model ~seed ~crash_at (Subject.ptm ?inject ~algorithm scenario)
 
 (* ---------- crash-during-recovery ---------- *)
 
@@ -432,15 +554,10 @@ let heap_snapshot m words = Array.init words (fun i -> m.Machine.raw_read i)
 
 let recovery_convergence ?(nvm_channels = 4) ?budgets ~model ~algorithm ~seed ~crash_at
     scenario =
-  let cfg = make_config ~nvm_channels scenario model in
-  let image = prepare_image cfg scenario ~algorithm in
-  with_image image (fun () ->
-      let sim = Sim.load_image cfg image in
-      let ptm = Ptm.recover ~algorithm ~coalesce:scenario.coalesce (Sim.machine sim) in
-      let inst = scenario.fresh ~seed in
-      for tid = 0 to scenario.threads - 1 do
-        ignore (Sim.spawn sim (fun () -> inst.worker ~tid ptm))
-      done;
+  let s = Subject.ptm ~algorithm scenario in
+  with_prepared_image ~nvm_channels ~model s (fun cfg image ->
+      let a = load cfg s ~seed ~image in
+      let sim = a.sim in
       Sim.run ~crash_at sim;
       if not (Sim.crashed sim) then Ok ()
       else begin
@@ -490,213 +607,40 @@ let recovery_convergence ?(nvm_channels = 4) ?budgets ~model ~algorithm ~seed ~c
           (match Ptm.recover ~algorithm ~coalesce:scenario.coalesce wrapped with
           | (_ : Ptm.t) -> ()
           | exception Machine.Crashed -> ());
-          let ptm_b = Ptm.recover ~algorithm ~coalesce:scenario.coalesce m_b in
-          let heap_b = heap_snapshot m_b cfg.Config.heap_words in
-          if heap_b <> heap_a then
+          let violated e =
             Error
-              (Printf.sprintf
-                 "recovery not idempotent: heap diverges after a crash %d/%d writes into \
-                  recovery (crash_at=%d seed=%d)"
-                 k total crash_at seed)
-          else
-            match judge inst.oracle inst.validate ~crashed:true sim_b ptm_b with
-            | Ok () -> Ok ()
-            | Error e ->
+              (Printf.sprintf "model violated after re-recovery (budget %d/%d): %s" k total
+                 e.fail_reason)
+          in
+          match a.run.recover sim_b with
+          | Error e -> violated e
+          | Ok (_, verdict) ->
+            if heap_snapshot m_b cfg.Config.heap_words <> heap_a then
               Error
-                (Printf.sprintf "model violated after re-recovery (budget %d/%d): %s" k total
-                   e.fail_reason)
+                (Printf.sprintf
+                   "recovery not idempotent: heap diverges after a crash %d/%d writes into \
+                    recovery (crash_at=%d seed=%d)"
+                   k total crash_at seed)
+            else Result.fold ~ok:Result.ok ~error:violated (verdict ())
         in
         List.fold_left
           (fun acc k -> match acc with Error _ -> acc | Ok () -> check_budget k)
           (Ok ()) budgets
       end)
 
-(* ---------- FAMS: crash-testing the snapshot API ---------- *)
+(* ---------- replay lines ---------- *)
 
-(* The msync subsystem rides the same explorer: prepared image, traced
-   reference run, candidate instants, single-pass probing + greedy
-   shrink, replayable failure line.  The differences are structural — a
-   single mutator instead of a thread team, [Fams.recover] instead of
-   [Ptm.recover], WPQ drain-window candidates, and the algorithm column
-   is the granularity series ("fams-line" / "fams-page"). *)
-
-type fams_instance = {
-  f_worker : Sim.t -> Fams.t -> unit;  (** the single mutator *)
-  f_validate : crashed:bool -> Sim.t -> Fams.t -> (unit, string) result;
-  f_oracle : (crashed:bool -> Sim.t -> Fams.t -> (unit, oracle_failure) result) option;
-}
-
-type fams_scenario = {
-  f_name : string;
-  f_words : int;  (** working-area size *)
-  f_prepare : Fams.t -> unit;  (** raw populate; the engine checkpoints after *)
-  f_fresh : seed:int -> fams_instance;
-}
-
-let fams_algorithm_name granularity = "fams-" ^ Fams.granularity_name granularity
-
-let fams_granularity_of_algorithm = function
-  | "fams-line" -> Some Fams.Line
-  | "fams-page" -> Some Fams.Page
-  | _ -> None
-
-let make_fams_config ~nvm_channels scenario model =
-  Config.make ~nvm_channels
-    ~heap_words:(Fams.required_heap_words ~words:scenario.f_words)
-    ~track_media:true model
-
-let prepare_fams_image cfg scenario ~granularity =
-  let sim = Sim.create cfg in
-  let fams = Fams.create ~granularity ~words:scenario.f_words sim in
-  scenario.f_prepare fams;
-  Fams.checkpoint_raw fams;
-  Sim.persist_all sim;
-  let path = Filename.temp_file "crashtest-fams" ".img" in
-  Sim.save_image sim path;
-  path
-
-let load_fams ?inject cfg scenario ~seed ~image ~trace_capacity =
-  let sim = Sim.load_image cfg image in
-  let fams = Fams.recover ?inject sim in
-  let trace =
-    if trace_capacity > 0 then Some (Sim.enable_trace ~capacity:trace_capacity sim) else None
-  in
-  let inst = scenario.f_fresh ~seed in
-  ignore (Sim.spawn sim (fun () -> inst.f_worker sim fams));
-  let recover sim2 =
-    match Fams.recover ?inject sim2 with
-    | fams2 -> Ok fams2
-    | exception Machine.Corrupt_image msg ->
-      Error { fail_reason = "recovery rejected the image: " ^ msg; counterexample = None }
-  in
-  arm ~sim ~trace ~live:fams ~recover ~region:Fams.region
-    ~judge:(judge inst.f_oracle inst.f_validate)
-
-(* Failure telemetry for a FAMS point: the phase profiler (sweep /
-   publish / apply spans) plus the machine trace, dumped as
-   profile.jsonl + trace.json next to the replay line.  [Telemetry
-   .attach] is PTM-shaped, so the dump is assembled from the exporters
-   directly. *)
-let dump_fams_failure_telemetry ?inject cfg scenario ~model ~granularity ~seed ~image
-    ~crash_at =
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "crashtest-%s-%s-%s-s%d-t%d%s" scenario.f_name model.Config.model_name
-         (fams_algorithm_name granularity) seed crash_at
-         (match inject with None -> "" | Some i -> "-" ^ Fams.inject_name i))
-  in
-  let sim = Sim.load_image cfg image in
-  let profiler =
-    Pstm.Profile.create
-      ~wpq_stall_probe:(fun tid -> Sim.wpq_stall_ns_of sim ~tid)
-      (Sim.machine sim)
-  in
-  let fams = Fams.recover ?inject ~profiler sim in
-  let tr = Sim.enable_trace ~capacity:(1 lsl 14) sim in
-  let inst = scenario.f_fresh ~seed in
-  ignore (Sim.spawn sim (fun () -> inst.f_worker sim fams));
-  Sim.run ~crash_at sim;
-  let meta =
-    {
-      Telemetry.Export.workload = scenario.f_name;
-      model = model.Config.model_name;
-      algorithm = fams_algorithm_name granularity;
-      threads = 1;
-      seed;
-      duration_ns = crash_at;
-    }
-  in
-  (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-  let emit name body =
-    let oc = open_out_bin (Filename.concat dir name) in
-    output_string oc body;
-    close_out oc
-  in
-  emit "profile.jsonl" (Telemetry.Export.profile_jsonl meta profiler);
-  emit "trace.json" (Telemetry.Export.chrome_trace ~machine_trace:tr meta profiler);
-  dir
-
-
-let fams_replay_command ?inject scenario_name model_name granularity seed crash_at =
-  Printf.sprintf "CRASHTEST_REPLAY='%s:%s:%s:%d:%d%s' dune build @crashtest" scenario_name
-    model_name
-    (fams_algorithm_name granularity)
-    seed crash_at
-    (match inject with None -> "" | Some i -> ":" ^ Fams.inject_name i)
-
-let explore_fams ?points ?seed ?exhaustive ?(shrink_budget = 24) ?(nvm_channels = 4) ?inject
-    ~model ~granularity scenario =
-  let points, seed, exhaustive = knobs ?points ?seed ?exhaustive () in
-  let cfg = make_fams_config ~nvm_channels scenario model in
-  let image = prepare_fams_image cfg scenario ~granularity in
-  with_image image (fun () ->
-      explore_cell ~drain:cfg ~points ~seed ~exhaustive ~shrink_budget ~scenario:scenario.f_name
-        ~model ~algorithm:(fams_algorithm_name granularity)
-        ~load:(fun trace_capacity -> load_fams ?inject cfg scenario ~seed ~image ~trace_capacity)
-        ~dump:(fun crash_at ->
-          dump_fams_failure_telemetry ?inject cfg scenario ~model ~granularity ~seed ~image
-            ~crash_at)
-        ~replay:
-          (fams_replay_command ?inject scenario.f_name model.Config.model_name granularity seed)
-        ())
-
-let run_fams_point ?(nvm_channels = 4) ?inject ~model ~granularity ~seed ~crash_at scenario =
-  let cfg = make_fams_config ~nvm_channels scenario model in
-  let image = prepare_fams_image cfg scenario ~granularity in
-  with_image image (fun () ->
-      let v, _, _ =
-        run_armed ~crash_at (load_fams ?inject cfg scenario ~seed ~image ~trace_capacity:0)
-      in
-      Result.map_error (fun f -> f.fail_reason) v)
-
-(* ---------- replay parsing ---------- *)
-
+(* [scenario:model:algorithm:seed:crash_at[:inject]].  The explorer
+   never prints an instant <= 0 (candidates and shrink steps are all
+   positive), so such a line is malformed, not a clean replay. *)
 let parse_replay spec =
-  let parse scen model alg seed crash_at inject =
-    let alg =
-      match String.lowercase_ascii alg with
-      | "redo" -> Some Ptm.Redo
-      | "undo" -> Some Ptm.Undo
-      | "htm" -> Some Ptm.Htm
-      | "mod" -> Some Ptm.Mod
-      | _ -> None
-    in
-    match (alg, int_of_string_opt seed, int_of_string_opt crash_at, inject) with
-    | Some alg, Some seed, Some crash_at, None ->
-      Some (scen, model, alg, seed, crash_at, None)
-    | Some alg, Some seed, Some crash_at, Some name -> (
-      (* A present-but-unknown inject name must not silently replay the
-         un-mutated runtime. *)
-      match Ptm.inject_of_name name with
-      | Some i -> Some (scen, model, alg, seed, crash_at, Some i)
-      | None -> None)
+  let fields scen model alg seed crash_at inject =
+    match (int_of_string_opt seed, int_of_string_opt crash_at) with
+    | Some seed, Some crash_at when crash_at > 0 -> Some (scen, model, alg, seed, crash_at, inject)
     | _ -> None
   in
   match String.split_on_char ':' (String.trim spec) with
-  | [ scen; model; alg; seed; crash_at ] -> parse scen model alg seed crash_at None
+  | [ scen; model; alg; seed; crash_at ] -> fields scen model alg seed crash_at None
   | [ scen; model; alg; seed; crash_at; inject ] ->
-    parse scen model alg seed crash_at (Some inject)
-  | _ -> None
-
-(* FAMS replay lines use the granularity series as the algorithm column
-   and FAMS inject names; everything else matches [parse_replay]. *)
-let parse_fams_replay spec =
-  let parse scen model alg seed crash_at inject =
-    match
-      (fams_granularity_of_algorithm alg, int_of_string_opt seed, int_of_string_opt crash_at)
-    with
-    | Some g, Some seed, Some crash_at -> (
-      match inject with
-      | None -> Some (scen, model, g, seed, crash_at, None)
-      | Some name -> (
-        match Fams.inject_of_name name with
-        | Some i -> Some (scen, model, g, seed, crash_at, Some i)
-        | None -> None))
-    | _ -> None
-  in
-  match String.split_on_char ':' (String.trim spec) with
-  | [ scen; model; alg; seed; crash_at ] -> parse scen model alg seed crash_at None
-  | [ scen; model; alg; seed; crash_at; inject ] ->
-    parse scen model alg seed crash_at (Some inject)
+    fields scen model alg seed crash_at (Some inject)
   | _ -> None

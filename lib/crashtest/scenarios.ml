@@ -1378,3 +1378,67 @@ let find name =
   match List.find_opt (fun s -> s.Engine.name = name) (all ()) with
   | Some s -> s
   | None -> invalid_arg (Printf.sprintf "Scenarios.find: unknown scenario %S" name)
+
+(* ---------- the crash matrix and the name resolver ---------- *)
+
+type cell = { scenario : string; model : Memsim.Config.model; algorithm : string }
+
+let models =
+  Memsim.Config.[ optane_adr; optane_eadr; pdram; pdram_lite; transient_cache; htm_commit ]
+
+(* Undo's eager in-place stores are pointless inside a hardware
+   transaction; the HTM-commit domain sweeps the Htm algorithm
+   instead.  The MOD structure scenarios sweep the Mod algorithm
+   (their buffered single-fence discipline) plus Redo as the
+   strict-durability differential — Undo/Htm would add nothing the
+   other scenarios don't already cover. *)
+let algorithms_for model (scenario : Engine.scenario) =
+  if String.starts_with ~prefix:"mod-" scenario.name then [ Ptm.Mod; Ptm.Redo ]
+  else if model == Memsim.Config.htm_commit then [ Ptm.Redo; Ptm.Htm ]
+  else [ Ptm.Redo; Ptm.Undo ]
+
+let fams_models =
+  Memsim.Config.[ optane_adr; optane_eadr; transient_cache; pdram; pdram_lite ]
+
+let ( let* ) l f = List.concat_map f l
+
+let ptm_cells () =
+  let* (s : Engine.scenario) = all () in
+  let* model = models in
+  let* a = algorithms_for model s in
+  [ { scenario = s.name; model; algorithm = Ptm.algorithm_name a } ]
+
+let fams_cells () =
+  let* (s : Engine.fams_scenario) = fams_all () in
+  let* model = fams_models in
+  let* g = [ Fams.Line; Fams.Page ] in
+  [ { scenario = s.f_name; model; algorithm = Engine.fams_algorithm_name g } ]
+
+let matrix () = ptm_cells () @ fams_cells ()
+
+let subject ?inject ~scenario ~algorithm () =
+  let bug of_name api =
+    match inject with
+    | None -> Ok None
+    | Some name -> (
+      match (of_name name, Ptm.inject_of_name name, Fams.inject_of_name name) with
+      | Some i, _, _ -> Ok (Some i)
+      | None, None, None -> invalid_arg (Printf.sprintf "Scenarios.subject: unknown inject %S" name)
+      | None, _, _ -> Error (Printf.sprintf "inject %S is not a %s bug" name api))
+  in
+  let alg = String.lowercase_ascii algorithm in
+  match
+    ( List.find_opt (fun a -> Ptm.algorithm_name a = alg) [ Ptm.Redo; Ptm.Undo; Ptm.Htm; Ptm.Mod ],
+      List.find_opt (fun g -> Engine.fams_algorithm_name g = algorithm) [ Fams.Line; Fams.Page ] )
+  with
+  | Some algorithm, _ ->
+    let scenario = find scenario in
+    Result.map
+      (fun inject -> Engine.Subject.ptm ?inject ~algorithm scenario)
+      (bug Ptm.inject_of_name "PTM")
+  | None, Some granularity ->
+    let scenario = fams_find scenario in
+    Result.map
+      (fun inject -> Engine.Subject.fams ?inject ~granularity scenario)
+      (bug Fams.inject_of_name "FAMS")
+  | None, None -> invalid_arg (Printf.sprintf "Scenarios.subject: unknown algorithm %S" algorithm)

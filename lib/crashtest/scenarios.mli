@@ -48,7 +48,7 @@
     Every constructor takes [?coalesce] (default [true]): [false] runs
     the PTM on the naive per-entry flush/fence path instead of the
     batched commit pipeline, and appends ["-naive"] to the scenario
-    name so replay specs round-trip through {!find}. *)
+    name so replay specs round-trip through {!subject}. *)
 
 val bank : ?accounts:int -> ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
 
@@ -95,15 +95,35 @@ val fams_bank :
 
 val fams_all : unit -> Engine.fams_scenario list
 
-val fams_find : string -> Engine.fams_scenario
-(** Look up one of {!fams_all} by name.
-    @raise Invalid_argument on unknown name. *)
-
 val all : unit -> Engine.scenario list
 (** The seven application scenarios with default sizes (coalescing on),
     plus naive-flush bank and btree variants — the two flush schedules
     reach "persistent" at different instants, so both are swept. *)
 
-val find : string -> Engine.scenario
-(** Look up one of {!all} by name.
-    @raise Invalid_argument on unknown name. *)
+
+(** {1 The crash matrix} *)
+
+(** One matrix cell, by name: resolve it with {!subject}. *)
+type cell = { scenario : string; model : Memsim.Config.model; algorithm : string }
+
+val ptm_cells : unit -> cell list
+(** Every {!all} scenario across the six durability domains (ADR, eADR,
+    PDRAM, PDRAM-Lite, transient-cache, HTM-commit) under Redo plus
+    Undo — Htm instead of Undo on HTM-commit, and Mod plus Redo for the
+    [mod-] structure scenarios. *)
+
+val fams_cells : unit -> cell list
+(** Every {!fams_all} scenario across ADR, eADR, transient-cache, PDRAM
+    and PDRAM-Lite, at line then page granularity. *)
+
+val matrix : unit -> cell list
+(** {!ptm_cells} then {!fams_cells}: the [@crashtest] sweep, in order. *)
+
+val subject :
+  ?inject:string -> scenario:string -> algorithm:string -> unit -> (Engine.Subject.t, string) result
+(** Resolve the names of a matrix cell or replay line to a subject.  The
+    algorithm column picks the API: [redo|undo|htm|mod] (any case) a
+    PTM scenario of {!all}, [fams-line|fams-page] a FAMS scenario of
+    {!fams_all}.  [Error] when [inject] names a bug of the other API.
+    @raise Invalid_argument on an unknown scenario, algorithm or inject
+    name. *)

@@ -14,7 +14,6 @@
    budget fails the run even when every cell passed. *)
 
 module Config = Memsim.Config
-module Ptm = Pstm.Ptm
 module Engine = Crashtest.Engine
 module Scenarios = Crashtest.Scenarios
 
@@ -33,70 +32,45 @@ let budget_s =
       exit 2)
   | _ -> if full then 600.0 else 60.0
 
-let models =
-  [
-    Config.optane_adr;
-    Config.optane_eadr;
-    Config.pdram;
-    Config.pdram_lite;
-    Config.transient_cache;
-    Config.htm_commit;
-  ]
-
-(* MOD structure scenarios run the Mod algorithm (checked under the
-   buffered dlin criterion) plus Redo as the strict differential. *)
-let algorithms_for model scenario =
-  let is_mod =
-    let n = scenario.Engine.name in
-    String.length n >= 4 && String.sub n 0 4 = "mod-"
-  in
-  if is_mod then [ Ptm.Mod; Ptm.Redo ]
-  else if model == Config.htm_commit then [ Ptm.Redo; Ptm.Htm ]
-  else [ Ptm.Redo; Ptm.Undo ]
-
 (* One cell per durability domain of interest, spread across scenarios
    so the fast gate still exercises bank's read-pair responses, the
    total-order counters spec and the kvserve exactly-once spec. *)
 let fast_cells =
   [
-    ("bank", Config.optane_adr, Ptm.Redo);
-    ("counters", Config.transient_cache, Ptm.Undo);
-    ("kv-incr", Config.htm_commit, Ptm.Htm);
-    ("btree", Config.optane_eadr, Ptm.Redo);
-    ("mod-btree", Config.optane_adr, Ptm.Mod);
+    ("bank", Config.optane_adr, "redo");
+    ("counters", Config.transient_cache, "undo");
+    ("kv-incr", Config.htm_commit, "htm");
+    ("btree", Config.optane_eadr, "redo");
+    ("mod-btree", Config.optane_adr, "mod");
   ]
 
-(* The three armed ordering bugs, each on a cell where the weakened
-   ordering is actually observable (see test/test_crashtest.ml). *)
+(* The armed ordering bugs, each on a cell where the weakened ordering
+   is actually observable (see test/test_crashtest.ml and
+   test/test_fams.ml): the five PTM ones, then the two FAMS ones. *)
 let mutations =
   [
-    (Ptm.Skip_fence, "bank", Config.optane_adr, Ptm.Redo);
-    (Ptm.Reorder_log_apply, "counters", Config.optane_adr, Ptm.Redo);
-    (Ptm.Tear_write, "bank", Config.optane_adr, Ptm.Undo);
-    (Ptm.Skip_fence, "mod-btree", Config.optane_adr, Ptm.Mod);
-    (Ptm.Tear_write, "mod-hash", Config.optane_adr, Ptm.Mod);
-  ]
-
-(* The two FAMS protocol bugs, on the cells test/test_fams.ml catches
-   them on. *)
-let fams_mutations =
-  [
-    (Fams.Skip_publish_fence, Fams.Page, Config.optane_adr);
-    (Fams.Torn_journal_entry, Fams.Line, Config.optane_adr);
+    ("skip-fence", "bank", Config.optane_adr, "redo");
+    ("reorder-log-apply", "counters", Config.optane_adr, "redo");
+    ("tear-write", "bank", Config.optane_adr, "undo");
+    ("skip-fence", "mod-btree", Config.optane_adr, "mod");
+    ("tear-write", "mod-hash", Config.optane_adr, "mod");
+    ("skip-publish-fence", "fams-bank", Config.optane_adr, "fams-page");
+    ("torn-journal-entry", "fams-bank", Config.optane_adr, "fams-line");
   ]
 
 let failed = ref 0
 let ran = ref 0
 
-let cell_name scenario model algorithm =
-  Printf.sprintf "%s/%s/%s" scenario.Engine.name model.Config.model_name
-    (Ptm.algorithm_name algorithm)
+let subject ?inject scenario algorithm =
+  match Scenarios.subject ?inject ~scenario ~algorithm () with
+  | Ok s -> s
+  | Error msg -> invalid_arg msg
 
 (* A positive cell: the oracle must find a durable linearization at
    every probed crash instant. *)
 let positive ?points scenario model algorithm =
   incr ran;
-  let report = Engine.explore ?points ~model ~algorithm scenario in
+  let report = Engine.explore_subject ?points ~model (subject scenario algorithm) in
   if not (Engine.ok report) then begin
     incr failed;
     Format.printf "FAIL %a@." Engine.pp_report report
@@ -104,56 +78,37 @@ let positive ?points scenario model algorithm =
 
 (* A mutation cell: with the bug armed, the oracle must reject at least
    one crash instant — a clean pass here means the checker is blind. *)
-let mutation ?(points = 80) inject scenario model algorithm =
+let mutation (inject, scenario, model, algorithm) =
   incr ran;
-  let report = Engine.explore ~points ~seed:1 ~inject ~model ~algorithm scenario in
+  let report =
+    Engine.explore_subject ~points:80 ~seed:1 ~model (subject ~inject scenario algorithm)
+  in
   if Engine.ok report then begin
     incr failed;
-    Printf.printf "FAIL %s + %s: oracle missed the armed mutation\n%!"
-      (cell_name scenario model algorithm)
-      (Ptm.inject_name inject)
+    Printf.printf "FAIL %s/%s/%s + %s: oracle missed the armed mutation\n%!" scenario
+      model.Config.model_name algorithm inject
   end
 
-let fams_mutation inject granularity model =
-  incr ran;
-  let scenario = Scenarios.fams_bank () in
-  let report = Engine.explore_fams ~points:80 ~seed:1 ~inject ~model ~granularity scenario in
-  if Engine.ok report then begin
-    incr failed;
-    Printf.printf "FAIL %s/%s/%s + %s: oracle missed the armed mutation\n%!"
-      scenario.Engine.f_name model.Config.model_name
-      (Engine.fams_algorithm_name granularity)
-      (Fams.inject_name inject)
+let run () =
+  if full then begin
+    List.iter
+      (fun { Scenarios.scenario; model; algorithm } -> positive scenario model algorithm)
+      (Scenarios.ptm_cells ());
+    List.iter mutation mutations
+  end
+  else begin
+    List.iter
+      (fun (scenario, model, algorithm) -> positive ~points:40 scenario model algorithm)
+      fast_cells;
+    mutation (List.hd mutations)
   end
 
 let () =
   let t0 = Unix.gettimeofday () in
-  if full then begin
-    List.iter
-      (fun scenario ->
-        List.iter
-          (fun model ->
-            List.iter
-              (fun algorithm -> positive scenario model algorithm)
-              (algorithms_for model scenario))
-          models)
-      (Scenarios.all ());
-    List.iter
-      (fun (inject, scen, model, algorithm) ->
-        mutation inject (Scenarios.find scen) model algorithm)
-      mutations;
-    List.iter
-      (fun (inject, granularity, model) -> fams_mutation inject granularity model)
-      fams_mutations
-  end
-  else begin
-    List.iter
-      (fun (scen, model, algorithm) ->
-        positive ~points:40 (Scenarios.find scen) model algorithm)
-      fast_cells;
-    let inject, scen, model, algorithm = List.hd mutations in
-    mutation inject (Scenarios.find scen) model algorithm
-  end;
+  (try run ()
+   with Invalid_argument msg ->
+     Printf.eprintf "dlin: %s\n%!" msg;
+     exit 2);
   let elapsed = Unix.gettimeofday () -. t0 in
   let mode = if full then "full" else "fast" in
   if !failed > 0 then begin

@@ -152,23 +152,7 @@ let test_nofence algorithm () =
       (f.Engine.min_crash_at <= f.Engine.crash_at);
     Helpers.check_bool "failure explains itself" true (String.length f.Engine.reason > 0);
     (* The replay line must reproduce the violation in one command. *)
-    let spec =
-      match String.split_on_char '\'' f.Engine.replay with
-      | _ :: spec :: _ -> spec
-      | _ -> Alcotest.fail ("unparseable replay line: " ^ f.Engine.replay)
-    in
-    (match Engine.parse_replay spec with
-    | None -> Alcotest.fail ("replay spec does not parse: " ^ spec)
-    | Some (scen_name, model_name, alg, replay_seed, crash_at, inject) ->
-      Helpers.check_int "replay seed matches report" report.Engine.seed replay_seed;
-      Helpers.check_bool "clean run's replay carries no inject" true (inject = None);
-      let result =
-        Engine.run_point
-          ~model:(Config.model_of_name model_name)
-          ~algorithm:alg ~seed:replay_seed ~crash_at
-          (Scenarios.find scen_name)
-      in
-      Helpers.check_bool "replay reproduces the violation" true (Result.is_error result));
+    Helpers.check_replay_reproduces ~seed (Engine.Subject.ptm ~algorithm scenario) f;
     (* The failure must come with a telemetry capture of the minimal
        failing re-run, including a profile of the post-crash recovery. *)
     (match f.Engine.telemetry_dir with
@@ -185,68 +169,15 @@ let test_nofence algorithm () =
 (* ---------- single pass vs re-run ---------- *)
 
 (* The explorer probes every instant in one paused run; the re-run path
-   it replaced stays as the oracle.  These helpers rebuild the engine's
-   steps from public API: the prepared image, and a fresh workload
-   instance armed on it. *)
-let with_prepared_image scenario model algorithm f =
-  let cfg =
-    Config.make ~nvm_channels:4 ~heap_words:scenario.Engine.heap_words ~track_media:true model
-  in
-  let sim = Sim.create cfg in
-  let ptm =
-    Ptm.create ~algorithm ~coalesce:scenario.Engine.coalesce
-      ~max_threads:scenario.Engine.threads
-      ~log_words_per_thread:scenario.Engine.log_words_per_thread (Sim.machine sim)
-  in
-  scenario.Engine.prepare ptm;
-  Sim.persist_all sim;
-  let image = Filename.temp_file "test-crashtest" ".img" in
-  Sim.save_image sim image;
-  Fun.protect ~finally:(fun () -> Sys.remove image) (fun () -> f cfg image)
-
-let arm ?inject cfg scenario algorithm image () =
-  let sim = Sim.load_image cfg image in
-  let ptm = Ptm.recover ~algorithm ~coalesce:scenario.Engine.coalesce ?inject (Sim.machine sim) in
-  let inst = scenario.Engine.fresh ~seed in
-  for tid = 0 to scenario.Engine.threads - 1 do
-    ignore (Sim.spawn sim (fun () -> inst.Engine.worker ~tid ptm) : int)
-  done;
-  sim
-
-(* [explore]'s report must equal a re-run explorer's built on
-   [run_point] over the same instants. *)
-let check_against_rerun ?inject ~points scenario model algorithm report =
-  with_prepared_image scenario model algorithm (fun cfg image ->
-      let final, candidates, chosen =
-        Helpers.reference_instants ~points ~seed (arm ?inject cfg scenario algorithm image)
-      in
-      Helpers.check_report_matches "single pass vs re-run" report ~final ~candidates
-        (Helpers.rerun_explore chosen ~probe:(fun crash_at ->
-             Engine.run_point ?inject ~model ~algorithm ~seed ~crash_at scenario)))
-
-(* At every chosen instant the paused run's durable image equals the
-   crash re-run's, and the whole report equals the re-run explorer's. *)
-let test_single_pass scenario model algorithm () =
-  let points = 64 in
-  let report = Engine.explore ~points ~seed ~model ~algorithm scenario in
-  Helpers.check_bool (Format.asprintf "%a" Engine.pp_report report) true (Engine.ok report);
-  with_prepared_image scenario model algorithm (fun cfg image ->
-      let arm = arm cfg scenario algorithm image in
-      let _, _, chosen = Helpers.reference_instants ~points ~seed arm in
-      Helpers.paused_images_match
-        ~what:(Printf.sprintf "%s/%s/%s" scenario.Engine.name model.Config.model_name
-                 (Ptm.algorithm_name algorithm))
-        ~arm (Array.of_list chosen));
-  check_against_rerun ~points scenario model algorithm report
-
+   it replaced stays as the oracle (see [Helpers.check_single_pass]). *)
 let single_pass_cases =
   List.map
     (fun (scenario, model, algorithm) ->
+      let s = Engine.Subject.ptm ~algorithm scenario in
       Alcotest.test_case
-        (Printf.sprintf "single pass = re-run %s/%s/%s" scenario.Engine.name
-           model.Config.model_name (Ptm.algorithm_name algorithm))
+        ("single pass = re-run " ^ Helpers.cell_name ~model s)
         `Slow
-        (test_single_pass scenario model algorithm))
+        (fun () -> Helpers.check_single_pass ~points:64 ~model ~seed s))
     [
       (Scenarios.bank (), Config.optane_adr, Ptm.Redo);
       (Scenarios.btree (), Config.optane_eadr, Ptm.Undo);
@@ -257,50 +188,16 @@ let single_pass_cases =
       (Scenarios.mod_btree (), Config.optane_adr, Ptm.Mod);
     ]
 
+(* ---------- mutation tests: injected ordering bugs must be caught ---------- *)
+
 (* Each case arms one deliberate PTM ordering bug (Ptm.inject) on a
    (scenario, model, algorithm) cell where the bug's durability hole is
    reachable, and requires the crash sweep to reject it — a checker
-   that never fails is untested.  The failure must round-trip: the
-   printed replay line carries the inject name, reproduces the
-   violation, and the telemetry dump includes the dlin counterexample
-   next to the other artifacts. *)
+   that never fails is untested.  The failure must round-trip (see
+   [Helpers.check_mutation_caught]). *)
 let test_mutation ~inject ~scenario ~model ~algorithm () =
-  let report = Engine.explore ~points:80 ~seed ~inject ~model ~algorithm scenario in
-  Helpers.check_bool
-    (Printf.sprintf "checker rejects %s on %s/%s/%s" (Ptm.inject_name inject)
-       scenario.Engine.name model.Config.model_name
-       (Ptm.algorithm_name algorithm))
-    false (Engine.ok report);
-  match report.Engine.failures with
-  | [] -> Alcotest.fail "report not ok but carries no failure record"
-  | f :: _ ->
-    Helpers.check_bool "failure explains itself" true (String.length f.Engine.reason > 0);
-    let spec =
-      match String.split_on_char '\'' f.Engine.replay with
-      | _ :: spec :: _ -> spec
-      | _ -> Alcotest.fail ("unparseable replay line: " ^ f.Engine.replay)
-    in
-    (match Engine.parse_replay spec with
-    | Some (scen_name, model_name, alg, replay_seed, crash_at, Some inj) ->
-      Helpers.check_bool "replay line names the injected bug" true (inj = inject);
-      let result =
-        Engine.run_point ~inject:inj
-          ~model:(Config.model_of_name model_name)
-          ~algorithm:alg ~seed:replay_seed ~crash_at
-          (Scenarios.find scen_name)
-      in
-      Helpers.check_bool "replay reproduces the violation" true (Result.is_error result)
-    | Some (_, _, _, _, _, None) ->
-      Alcotest.fail ("replay spec lost the inject field: " ^ spec)
-    | None -> Alcotest.fail ("replay spec does not parse: " ^ spec));
-    (match f.Engine.telemetry_dir with
-    | None -> Alcotest.fail "failure carries no telemetry dump"
-    | Some dir ->
-      Helpers.check_bool "dlin counterexample rides the telemetry dump" true
-        (Sys.file_exists (Filename.concat dir "dlin.jsonl")));
-    (* The single pass fails where the re-run explorer does, after as
-       many probes. *)
-    check_against_rerun ~inject ~points:80 scenario model algorithm report
+  Helpers.check_mutation_caught ~points:80 ~model ~seed
+    (Engine.Subject.ptm ~inject ~algorithm scenario)
 
 let mutation_cases =
   [
@@ -474,6 +371,73 @@ let test_explore_alloc () =
     true
     (per_probe < explore_alloc_bound_words)
 
+(* ---------- bad settings and replay lines are refused ---------- *)
+
+let rejects what f =
+  match f () with
+  | (_ : Engine.report) -> Alcotest.fail (what ^ " was accepted")
+  | exception Invalid_argument _ -> ()
+
+let test_points_rejected () =
+  rejects "explore ~points:0" (fun () ->
+      Engine.explore ~points:0 ~seed ~model:Config.optane_adr ~algorithm:Ptm.Redo
+        (Scenarios.bank ()));
+  rejects "explore_fams ~points:-1" (fun () ->
+      Engine.explore_fams ~points:(-1) ~seed ~model:Config.optane_adr ~granularity:Fams.Line
+        (Scenarios.fams_bank ()));
+  match
+    Engine.choose_instants ~points:0 ~seed ~exhaustive:true ~final_time:100
+      (Memsim.Trace.create ())
+  with
+  | _ -> Alcotest.fail "choose_instants ~points:0 was accepted"
+  | exception Invalid_argument _ -> ()
+
+let test_replay_grammar () =
+  let parses spec want =
+    Helpers.check_bool (Printf.sprintf "parse %S" spec) true (Engine.parse_replay spec = want)
+  in
+  parses "bank:optane-adr:redo:1:2229" (Some ("bank", "optane-adr", "redo", 1, 2229, None));
+  parses " fams-bank:optane-adr:fams-line:1:10610:skip-publish-fence\n"
+    (Some ("fams-bank", "optane-adr", "fams-line", 1, 10610, Some "skip-publish-fence"));
+  (* The explorer never prints an instant <= 0. *)
+  parses "bank:optane-adr:redo:1:-5" None;
+  parses "bank:optane-adr:redo:1:0" None;
+  parses "bank:optane-adr:redo:x:5" None;
+  parses "bank:optane-adr:redo:1" None;
+  parses "bank:optane-adr:redo:1:5:skip-fence:extra" None
+
+let test_replay_resolve () =
+  let resolve ?inject scenario algorithm = Scenarios.subject ?inject ~scenario ~algorithm () in
+  let refused what f =
+    match f () with
+    | (_ : (Engine.Subject.t, string) result) -> Alcotest.fail (what ^ " resolved")
+    | exception Invalid_argument _ -> ()
+  in
+  (* A present-but-unknown inject name must not silently replay the
+     un-mutated runtime. *)
+  refused "unknown inject" (fun () -> resolve ~inject:"bogus" "bank" "redo");
+  refused "unknown algorithm" (fun () -> resolve "bank" "fams-word");
+  refused "PTM algorithm on a FAMS scenario" (fun () -> resolve "fams-bank" "redo");
+  Helpers.check_bool "FAMS bug on a PTM cell is refused" true
+    (Result.is_error (resolve ~inject:"skip-publish-fence" "bank" "redo"));
+  Helpers.check_bool "PTM bug on a FAMS cell is refused" true
+    (Result.is_error (resolve ~inject:"skip-fence" "fams-bank" "fams-page"));
+  (match (resolve ~inject:"skip-fence" "bank" "REDO", resolve "fams-bank" "fams-page") with
+  | Ok p, Ok f ->
+    Alcotest.(check (list string))
+      "the algorithm column picks the API"
+      [ "bank"; "redo"; "skip-fence"; "fams-bank"; "fams-page" ]
+      [ p.scenario; p.algorithm; Option.get p.inject; f.scenario; f.algorithm ];
+    Helpers.check_bool "only FAMS probes WPQ drain windows" true ((not p.drains) && f.drains)
+  | _ -> Alcotest.fail "a matrix cell did not resolve");
+  List.iter
+    (fun { Scenarios.scenario; algorithm; _ } ->
+      Helpers.check_bool
+        (Printf.sprintf "matrix cell %s/%s resolves" scenario algorithm)
+        true
+        (Result.is_ok (resolve scenario algorithm)))
+    (Scenarios.matrix ())
+
 let suite =
   matrix_cases @ coalescing_cases @ mod_cases @ kvserve_cases @ extension_domain_cases
   @ single_pass_cases @ mutation_cases
@@ -492,4 +456,7 @@ let suite =
         test_run_point_alloc;
       Alcotest.test_case "explore allocation bound per probe (bank/adr/redo)" `Quick
         test_explore_alloc;
+      Alcotest.test_case "non-positive sample size is rejected" `Quick test_points_rejected;
+      Alcotest.test_case "replay line grammar" `Quick test_replay_grammar;
+      Alcotest.test_case "replay names resolve to one subject" `Quick test_replay_resolve;
     ]

@@ -214,99 +214,15 @@ let matrix_cases =
 
 (* ---------- single pass vs re-run ---------- *)
 
-(* The engine's FAMS steps rebuilt from public API: the prepared image
-   (populate, checkpoint, persist) and a fresh mutator armed on it. *)
-let with_prepared_image scenario model granularity f =
-  let words = scenario.Engine.f_words in
-  let cfg =
-    Config.make ~nvm_channels:4 ~heap_words:(Fams.required_heap_words ~words) ~track_media:true
-      model
-  in
-  let sim = Sim.create cfg in
-  let fams = Fams.create ~granularity ~words sim in
-  scenario.Engine.f_prepare fams;
-  Fams.checkpoint_raw fams;
-  Sim.persist_all sim;
-  let image = Filename.temp_file "test-fams" ".img" in
-  Sim.save_image sim image;
-  Fun.protect ~finally:(fun () -> Sys.remove image) (fun () -> f cfg image)
-
-let arm ?inject cfg scenario image () =
-  let sim = Sim.load_image cfg image in
-  let fams = Fams.recover ?inject sim in
-  let inst = scenario.Engine.f_fresh ~seed in
-  ignore (Sim.spawn sim (fun () -> inst.Engine.f_worker sim fams) : int);
-  sim
-
-(* [explore_fams]'s report must equal a re-run explorer's built on
-   [run_fams_point] over the same instants. *)
-let check_against_rerun ?inject ~points scenario model granularity report =
-  with_prepared_image scenario model granularity (fun cfg image ->
-      let final, candidates, chosen =
-        Helpers.reference_instants ~drain:cfg ~points ~seed (arm ?inject cfg scenario image)
-      in
-      Helpers.check_report_matches "single pass vs re-run" report ~final ~candidates
-        (Helpers.rerun_explore chosen ~probe:(fun crash_at ->
-             Engine.run_fams_point ?inject ~model ~granularity ~seed ~crash_at scenario)))
-
 let test_single_pass () =
-  let scenario = Scenarios.fams_bank () in
-  let model = Config.optane_adr and granularity = Fams.Line and points = 64 in
-  let report = Engine.explore_fams ~points ~seed ~model ~granularity scenario in
-  Helpers.check_bool (Format.asprintf "%a" Engine.pp_report report) true (Engine.ok report);
-  with_prepared_image scenario model granularity (fun cfg image ->
-      let arm = arm cfg scenario image in
-      let _, _, chosen = Helpers.reference_instants ~drain:cfg ~points ~seed arm in
-      Helpers.paused_images_match ~what:"fams-bank/optane-adr/fams-line" ~arm
-        (Array.of_list chosen));
-  check_against_rerun ~points scenario model granularity report
+  Helpers.check_single_pass ~points:64 ~model:Config.optane_adr ~seed
+    (Engine.Subject.fams ~granularity:Fams.Line (Scenarios.fams_bank ()))
 
 (* ---------- mutation tests: injected FAMS bugs must be caught ---------- *)
 
 let test_fams_mutation ~inject ~granularity ~model () =
-  let scenario = Scenarios.fams_bank () in
-  let report = Engine.explore_fams ~points:80 ~seed ~inject ~model ~granularity scenario in
-  Helpers.check_bool
-    (Printf.sprintf "checker rejects %s on %s/%s/%s" (Fams.inject_name inject)
-       scenario.Engine.f_name model.Config.model_name
-       (Engine.fams_algorithm_name granularity))
-    false (Engine.ok report);
-  match report.Engine.failures with
-  | [] -> Alcotest.fail "report not ok but carries no failure record"
-  | f :: _ ->
-    Helpers.check_bool "failure explains itself" true (String.length f.Engine.reason > 0);
-    let spec =
-      match String.split_on_char '\'' f.Engine.replay with
-      | _ :: spec :: _ -> spec
-      | _ -> Alcotest.fail ("unparseable replay line: " ^ f.Engine.replay)
-    in
-    (match Engine.parse_fams_replay spec with
-    | Some (scen_name, model_name, gran, replay_seed, crash_at, Some inj) ->
-      Helpers.check_bool "replay line names the injected bug" true (inj = inject);
-      Helpers.check_bool "replay line names the granularity" true (gran = granularity);
-      let result =
-        Engine.run_fams_point ~inject:inj
-          ~model:(Config.model_of_name model_name)
-          ~granularity:gran ~seed:replay_seed ~crash_at
-          (Scenarios.fams_find scen_name)
-      in
-      Helpers.check_bool "replay reproduces the violation" true (Result.is_error result)
-    | Some (_, _, _, _, _, None) ->
-      Alcotest.fail ("replay spec lost the inject field: " ^ spec)
-    | None -> Alcotest.fail ("replay spec does not parse: " ^ spec));
-    (match f.Engine.telemetry_dir with
-    | None -> Alcotest.fail "failure carries no telemetry dump"
-    | Some dir ->
-      Helpers.check_bool "telemetry dump has profile.jsonl" true
-        (Sys.file_exists (Filename.concat dir "profile.jsonl"));
-      (* A dlin-oracle failure carries a counterexample; a recovery
-         rejection (Corrupt_image) legitimately does not. *)
-      if not (String.starts_with ~prefix:"recovery rejected" f.Engine.reason) then
-        Helpers.check_bool "dlin counterexample rides the telemetry dump" true
-          (Sys.file_exists (Filename.concat dir "dlin.jsonl")));
-    (* The single pass fails where the re-run explorer does, after as
-       many probes. *)
-    check_against_rerun ~inject ~points:80 scenario model granularity report
+  Helpers.check_mutation_caught ~points:80 ~model ~seed
+    (Engine.Subject.fams ~inject ~granularity (Scenarios.fams_bank ()))
 
 let mutation_cases =
   [
