@@ -1,13 +1,23 @@
-(* Command-line front end for single experiments and custom runs.
+(* Command-line front end: the paper's experiments, single
+   configurations, and the bench-regression sentinel.
 
      ptm_bench list
+     ptm_bench experiment all --quick          # every paper experiment
+     ptm_bench experiment fig3 table1          # selected experiments
+     ptm_bench experiment fig8 --csv out/
+     ptm_bench experiment fig3 --jobs 4 --json
+     ptm_bench experiment speedup --json       # serial-vs-parallel self-bench
      ptm_bench run --workload tpcc-hash --model optane-adr --algorithm undo \
                    --threads 8 --duration-ms 3
      ptm_bench sweep --workload tatp --model pdram
-     ptm_bench experiment fig4 --quick --csv out/
+     ptm_bench regress -b BENCH_fams.json -c out/BENCH_fams.json
 
-   [bench/main.exe] regenerates the full paper; this tool is for
-   poking at individual configurations. *)
+   Experiment tables mirror the paper's rows/series (see DESIGN.md's
+   experiment index); CSVs are written when --csv DIR is given.
+   --jobs N fans the independent simulation cells of each experiment
+   across N domains (tables stay byte-identical to --jobs 1); --json
+   additionally writes BENCH_<experiment>.json next to the CSVs (or in
+   the current directory). *)
 
 open Cmdliner
 
@@ -225,24 +235,343 @@ let sweep_cmd =
     (Cmd.info "sweep" ~doc:"Sweep the paper's thread axis for one configuration.")
     Term.(const sweep $ workload_arg $ model_arg $ algorithm_arg $ duration_arg $ no_coalesce_arg)
 
+(* ---------- the experiment registry ---------- *)
+
+module Experiments = Workloads.Experiments
+module Table = Repro_util.Table
+module Pool = Parallel.Pool
+
+(* The `experiment` command line, handed to every registry entry. *)
+type ctx = { quick : bool; jobs : int option; csv_dir : string option; json : bool }
+
+let write_csv ctx name (t : Table.t) =
+  match ctx.csv_dir with
+  | None -> ()
+  | Some dir ->
+    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+    let path = Filename.concat dir (name ^ ".csv") in
+    let oc = open_out path in
+    output_string oc (Table.to_csv t);
+    close_out oc;
+    Format.printf "  (csv written to %s)@." path
+
+let write_json ctx ?(jobs = Option.value ctx.jobs ~default:(Pool.default_jobs ()))
+    ?(quick = ctx.quick) name ~wall_s ~extra results =
+  if ctx.json then begin
+    let dir = Option.value ctx.csv_dir ~default:"." in
+    let path = Workloads.Bench_json.write ~dir ~experiment:name ~quick ~jobs ~wall_s ~extra results in
+    Format.printf "  (json written to %s)@." path
+  end
+
+(* An experiment that returns an outcome: print its tables, then the
+   optional CSV and JSON records. *)
+let tabulate name (f : ?quick:bool -> ?jobs:int -> unit -> Experiments.outcome) ctx =
+  let t0 = Unix.gettimeofday () in
+  let outcome = f ~quick:ctx.quick ?jobs:ctx.jobs () in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  List.iteri
+    (fun i table ->
+      Format.printf "%a" Table.print table;
+      write_csv ctx (Printf.sprintf "%s-%d" name i) table)
+    outcome.Experiments.tables;
+  write_json ctx name ~wall_s ~extra:outcome.Experiments.extra outcome.Experiments.results;
+  Format.printf "  [%s: %d data points, %.1fs]@." name
+    (List.length outcome.Experiments.results)
+    wall_s
+
+(* ---------- speedup: serial vs parallel self-benchmark ---------- *)
+
+(* Runs one quick-sized Fig 3 panel twice — once with a single worker,
+   once with the requested pool — checks the rendered tables are
+   byte-identical, and reports wall time and simulated-events/sec for
+   both; with --json the measurement lands in BENCH_speedup.json so the
+   simulator's speed trajectory can be tracked across commits.  The
+   parallel leg uses --jobs if given, else every available core (at
+   least 2, so the domain machinery is exercised even on one core —
+   where the honest expectation is no speedup). *)
+let speedup ctx =
+  let spec = Workloads.Btree_bench.insert_only in
+  let par_jobs = max 2 (Option.value ctx.jobs ~default:(Pool.default_jobs ())) in
+  (* Each leg also samples the GC before/after: with jobs = 1 the whole
+     panel runs in the calling domain, so the minor/major word deltas
+     divided by simulated events give the allocation cost of one DES
+     event — the metric the zero-allocation hot-loop work is tracked
+     by (wall clock on a shared machine is too noisy to regress on). *)
+  let leg jobs =
+    let g0 = Gc.quick_stat () in
+    let t0 = Unix.gettimeofday () in
+    let outcome = Experiments.fig3_panel ~quick:true ~jobs spec in
+    let wall = Unix.gettimeofday () -. t0 in
+    let g1 = Gc.quick_stat () in
+    let rendered =
+      String.concat "\n"
+        (List.map (Format.asprintf "%a" Table.print) outcome.Experiments.tables)
+    in
+    (outcome, wall, rendered, g1.Gc.minor_words -. g0.Gc.minor_words,
+     g1.Gc.major_words -. g0.Gc.major_words)
+  in
+  let serial, serial_wall, serial_out, serial_minor, serial_major = leg 1 in
+  let jobs2, jobs2_wall, jobs2_out, _, _ = leg 2 in
+  (* The headline parallel leg reuses the jobs=2 measurement when the
+     pool would be the same size — no point timing it twice. *)
+  let parallel, par_wall, par_out =
+    if par_jobs = 2 then (jobs2, jobs2_wall, jobs2_out)
+    else
+      let o, w, r, _, _ = leg par_jobs in
+      (o, w, r)
+  in
+  let identical = String.equal serial_out par_out && String.equal serial_out jobs2_out in
+  let events o =
+    List.fold_left (fun acc r -> acc + Workloads.Bench_json.events r) 0 o.Experiments.results
+  in
+  let rate o wall = float_of_int (events o) /. wall in
+  let sp = serial_wall /. par_wall in
+  let sp2 = serial_wall /. jobs2_wall in
+  let cells = List.length serial.Experiments.results in
+  let pool_chunk = Pool.default_chunk ~n:cells ~jobs:par_jobs in
+  let serial_events = events serial in
+  let minor_per_event = serial_minor /. float_of_int (max 1 serial_events) in
+  let major_per_event = serial_major /. float_of_int (max 1 serial_events) in
+  let t =
+    Table.create
+      ~title:
+        (Printf.sprintf "Speedup — quick Fig 3 panel (%s), %d cells, %d cores, chunk %d"
+           spec.Workloads.Driver.name cells
+           (Domain.recommended_domain_count ())
+           pool_chunk)
+      ~header:[ "mode"; "jobs"; "wall s"; "sim events/s"; "speedup" ]
+  in
+  Table.add_row t
+    [ "serial"; "1"; Table.cell_f serial_wall; Table.cell_f (rate serial serial_wall); "1.00" ];
+  Table.add_row t
+    [ "parallel"; "2"; Table.cell_f jobs2_wall; Table.cell_f (rate jobs2 jobs2_wall);
+      Table.cell_f sp2 ];
+  if par_jobs <> 2 then
+    Table.add_row t
+      [
+        "parallel";
+        string_of_int par_jobs;
+        Table.cell_f par_wall;
+        Table.cell_f (rate parallel par_wall);
+        Table.cell_f sp;
+      ];
+  Format.printf "%a" Table.print t;
+  Format.printf "  parallel output byte-identical to serial: %b@." identical;
+  (* One-line human summaries of the measurement, greppable from CI logs. *)
+  Format.printf "  speedup: %.2fx with %d jobs on %d cores — %.2fM events/s parallel vs %.2fM serial@."
+    sp par_jobs
+    (Domain.recommended_domain_count ())
+    (rate parallel par_wall /. 1e6)
+    (rate serial serial_wall /. 1e6);
+  Format.printf "  allocation: %.2f minor words/event, %.4f major words/event (serial leg)@."
+    minor_per_event major_per_event;
+  write_json ctx "speedup" ~jobs:par_jobs ~quick:true ~wall_s:par_wall
+    ~extra:
+      [
+        ("serial_wall_s", Workloads.Bench_json.Float serial_wall);
+        ("parallel_wall_s", Workloads.Bench_json.Float par_wall);
+        ("parallel_jobs", Workloads.Bench_json.Int par_jobs);
+        ("speedup", Workloads.Bench_json.Float sp);
+        ("serial_events_per_sec", Workloads.Bench_json.Float (rate serial serial_wall));
+        ("parallel_events_per_sec", Workloads.Bench_json.Float (rate parallel par_wall));
+        ("jobs2_wall_s", Workloads.Bench_json.Float jobs2_wall);
+        ("jobs2_events_per_sec", Workloads.Bench_json.Float (rate jobs2 jobs2_wall));
+        ("speedup_jobs2", Workloads.Bench_json.Float sp2);
+        ("pool_chunk", Workloads.Bench_json.Int pool_chunk);
+        ("minor_words_per_event", Workloads.Bench_json.Float minor_per_event);
+        ("major_words_per_event", Workloads.Bench_json.Float major_per_event);
+        ("byte_identical", Workloads.Bench_json.Bool identical);
+      ]
+    parallel.Experiments.results;
+  if not identical then begin
+    Format.eprintf "speedup: parallel output differs from serial!@.";
+    exit 1
+  end
+
+(* ---------- telemetry: instrumented bank runs with phase profiles ---------- *)
+
+(* Short instrumented runs under ADR and eADR for both log algorithms.
+   Shows where virtual time goes per phase (the paper's fence-cost
+   story: undo pays a flush+fence per write, redo defers to commit)
+   and, with --csv DIR, dumps full profile/series/trace files per
+   configuration under DIR/telemetry/<model>-<alg>/. *)
+let telemetry ctx =
+  let duration_ns = if ctx.quick then 200_000 else 1_000_000 in
+  let configs =
+    [
+      (Memsim.Config.optane_adr, Pstm.Ptm.Redo);
+      (Memsim.Config.optane_adr, Pstm.Ptm.Undo);
+      (Memsim.Config.optane_eadr, Pstm.Ptm.Redo);
+      (Memsim.Config.optane_eadr, Pstm.Ptm.Undo);
+    ]
+  in
+  List.iter
+    (fun (model, algorithm) ->
+      let r =
+        Workloads.Driver.run ~duration_ns ~telemetry:Telemetry.default_config ~model ~algorithm
+          ~threads:4 Workloads.Bank.spec
+      in
+      let cap =
+        match r.Workloads.Driver.telemetry with
+        | Some cap -> cap
+        | None -> failwith "telemetry capture missing"
+      in
+      let p = Telemetry.profile cap in
+      let tids = Pstm.Profile.tids p in
+      let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 tids in
+      let total_txn_ns = sum (Pstm.Profile.txn_ns p) in
+      let table =
+        Table.create
+          ~title:
+            (Printf.sprintf "phase profile: bank on %s (%s, %d commits)"
+               model.Memsim.Config.model_name
+               (Pstm.Ptm.algorithm_name algorithm)
+               r.Workloads.Driver.commits)
+          ~header:[ "phase"; "count"; "total ns"; "share %"; "fences"; "flushes" ]
+      in
+      List.iter
+        (fun phase ->
+          let count = sum (fun ~tid -> Pstm.Profile.phase_count p ~tid phase) in
+          if count > 0 then
+            let ns = sum (fun ~tid -> Pstm.Profile.phase_ns p ~tid phase) in
+            Table.add_row table
+              [
+                Pstm.Profile.phase_name phase;
+                string_of_int count;
+                string_of_int ns;
+                Table.cell_f (100.0 *. float_of_int ns /. float_of_int (max 1 total_txn_ns));
+                string_of_int (sum (fun ~tid -> Pstm.Profile.phase_fences p ~tid phase));
+                string_of_int (sum (fun ~tid -> Pstm.Profile.phase_flushes p ~tid phase));
+              ])
+        Pstm.Profile.all_phases;
+      Format.printf "%a" Table.print table;
+      let fences_saved = sum (Pstm.Profile.fences_saved p) in
+      let flushes_saved = sum (Pstm.Profile.flushes_saved p) in
+      if fences_saved > 0 || flushes_saved > 0 then
+        Format.printf "  (coalescing saved %d fences, %d clwbs vs the naive per-entry path)@."
+          fences_saved flushes_saved;
+      match ctx.csv_dir with
+      | None -> ()
+      | Some dir ->
+        let sub =
+          Filename.concat
+            (Filename.concat dir "telemetry")
+            (Printf.sprintf "%s-%s" model.Memsim.Config.model_name
+               (Pstm.Ptm.algorithm_name algorithm))
+        in
+        let meta =
+          Workloads.Driver.run_meta r ~seed:Workloads.Driver.default_seed ~duration_ns
+        in
+        List.iter (Format.printf "  (telemetry written to %s)@.") (Telemetry.dump ~dir:sub meta cap))
+    configs
+
+(* ---------- microbench: Bechamel timings of the primitives ---------- *)
+
+let microbench ctx =
+  let open Bechamel in
+  let open Toolkit in
+  (* A standing simulated machine; primitives run outside simulated
+     threads (untimed virtually — what we measure here is the real
+     cost of the simulator itself). *)
+  let m =
+    Memsim.Sim.machine
+      (Memsim.Sim.create
+         (Memsim.Config.make ~heap_words:(1 lsl 18) ~track_media:false
+            Memsim.Config.optane_adr))
+  in
+  let ptm = Pstm.Ptm.create ~max_threads:4 m in
+  let counter =
+    Pstm.Ptm.atomic ptm (fun tx ->
+        let a = Pstm.Ptm.alloc tx 1 in
+        Pstm.Ptm.write tx a 0;
+        a)
+  in
+  let rng = Repro_util.Rng.create 1 in
+  let zipf = Repro_util.Zipf.create 4096 in
+  let tests =
+    [
+      Test.make ~name:"sim-load" (Staged.stage (fun () -> m.Machine.load 4096));
+      Test.make ~name:"sim-store" (Staged.stage (fun () -> m.Machine.store 4096 1));
+      Test.make ~name:"sim-clwb" (Staged.stage (fun () -> m.Machine.clwb 4096));
+      Test.make ~name:"orec-cas" (Staged.stage (fun () -> m.Machine.meta_cas 70_000 0 0));
+      Test.make ~name:"ptm-tx-1-write"
+        (Staged.stage (fun () ->
+             Pstm.Ptm.atomic ptm (fun tx ->
+                 Pstm.Ptm.write tx counter (Pstm.Ptm.read tx counter + 1))));
+      Test.make ~name:"rng-next" (Staged.stage (fun () -> Repro_util.Rng.next rng));
+      Test.make ~name:"zipf-sample" (Staged.stage (fun () -> Repro_util.Zipf.sample zipf rng));
+    ]
+  in
+  let grouped = Test.make_grouped ~name:"prim" ~fmt:"%s/%s" tests in
+  let instances = Instance.[ monotonic_clock ] in
+  let cfg = Benchmark.cfg ~limit:2000 ~stabilize:true ~quota:(Time.second 0.25) () in
+  let raw = Benchmark.all cfg instances grouped in
+  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
+  let results = Analyze.all ols Instance.monotonic_clock raw in
+  let table =
+    Table.create ~title:"Microbenchmarks (real ns per call, Bechamel OLS)"
+      ~header:[ "primitive"; "ns/call" ]
+  in
+  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
+  List.iter
+    (fun (name, ols) ->
+      let cell =
+        match Analyze.OLS.estimates ols with
+        | Some [ est ] -> Table.cell_f est
+        | Some _ | None -> "-"
+      in
+      Table.add_row table [ name; cell ])
+    (List.sort compare rows);
+  Format.printf "%a" Table.print table;
+  write_csv ctx "microbench" table
+
+(* What `experiment all` runs, in order: the paper's tables and
+   figures, the KV service, tracing and telemetry experiments, and the
+   primitive microbenchmarks. *)
+let in_all =
+  List.map
+    (fun (name, f) -> (name, tabulate name f))
+    (Experiments.all @ [ ("kvserve", Kvserve.Bench.run); ("trace", Kvserve.Bench.run_trace) ])
+  @ [ ("telemetry", telemetry); ("microbench", microbench) ]
+
+(* Every experiment by CLI name.  [speedup] times the harness itself
+   rather than regenerating a result, so `all` leaves it out. *)
+let registry = in_all @ [ ("speedup", speedup) ]
+
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let experiment_cmd =
-  let names = List.map fst Workloads.Experiments.all in
-  let name_arg =
+  let names_arg =
+    let names = "all" :: List.map fst registry in
     Arg.(
-      required
-      & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
-      & info [] ~docv:"EXPERIMENT")
+      non_empty
+      & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+      & info [] ~docv:"EXPERIMENT" ~doc:"Experiments to run (see $(b,list)), or $(b,all).")
   in
   let quick_arg = Arg.(value & flag & info [ "quick" ] ~doc:"Short measurement window.") in
   let jobs_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some positive_int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Worker domains for the sweep's independent simulation cells (default: the \
              available cores).  Tables are byte-identical for every value; only wall time \
              changes.")
+  in
+  let csv_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "csv" ] ~docv:"DIR"
+          ~doc:"Write every table as $(i,DIR)/$(i,EXPERIMENT)-$(i,i).csv (and, for telemetry, \
+                the per-configuration dumps under $(i,DIR)/telemetry/).")
   in
   let json_arg =
     Arg.(
@@ -250,33 +579,21 @@ let experiment_cmd =
       & flag
       & info [ "json" ]
           ~doc:
-            "Also write BENCH_$(i,EXPERIMENT).json in the current directory: per-cell \
-             throughput/abort/fence metrics plus run totals and wall time.")
+            "Also write BENCH_$(i,EXPERIMENT).json (in the --csv directory, else the current \
+             one): per-cell throughput/abort/fence metrics plus run totals and wall time.")
   in
-  let exp name quick jobs json =
-    (match jobs with
-    | Some j when j < 1 -> failwith "--jobs expects a positive integer"
-    | Some _ | None -> ());
-    let f = List.assoc name Workloads.Experiments.all in
-    let t0 = Unix.gettimeofday () in
-    let outcome = f ~quick ?jobs () in
-    let wall_s = Unix.gettimeofday () -. t0 in
+  let exp names quick jobs csv_dir json =
+    let ctx = { quick; jobs; csv_dir; json } in
     List.iter
-      (fun table -> Format.printf "%a" Repro_util.Table.print table)
-      outcome.Workloads.Experiments.tables;
-    if json then begin
-      let jobs = match jobs with Some j -> j | None -> Parallel.Pool.default_jobs () in
-      let path =
-        Workloads.Bench_json.write ~experiment:name ~quick ~jobs ~wall_s
-          ~extra:outcome.Workloads.Experiments.extra outcome.Workloads.Experiments.results
-      in
-      Format.printf "json       : wrote %s@." path
-    end
+      (fun name ->
+        let runs = if name = "all" then in_all else [ (name, List.assoc name registry) ] in
+        List.iter (fun (_, run) -> run ctx) runs)
+      names
   in
   Cmd.v
     (Cmd.info "experiment"
-       ~doc:"Regenerate one of the paper's tables/figures (fig3 fig4 table1 ... fig8).")
-    Term.(const exp $ name_arg $ quick_arg $ jobs_arg $ json_arg)
+       ~doc:"Regenerate the paper's tables and figures (fig3 fig4 table1 ... fig8, see $(b,list)).")
+    Term.(const exp $ names_arg $ quick_arg $ jobs_arg $ csv_arg $ json_arg)
 
 let regress_cmd =
   let module J = Workloads.Bench_json in
@@ -348,7 +665,7 @@ let list_cmd =
       (fun m -> Format.printf "  %s@." m.Memsim.Config.model_name)
       Memsim.Config.all_models;
     Format.printf "experiments:@.";
-    List.iter (fun (n, _) -> Format.printf "  %s@." n) Workloads.Experiments.all
+    List.iter (fun (n, _) -> Format.printf "  %s@." n) registry
   in
   Cmd.v (Cmd.info "list" ~doc:"List workloads, models and experiments.") Term.(const list $ const ())
 

@@ -4,8 +4,6 @@ module Json = Workloads.Bench_json
 module Trace = Telemetry.Trace
 module Histogram = Repro_util.Histogram
 
-type outcome = { tables : Table.t list; extra : (string * Json.json) list }
-
 (* Working-set sizes: below the L3, around it, and well past it (the
    paper's Fig 8 story at simulation scale — value_bytes is fixed at
    64, so size sweeps the item count and with it the hit rate of the
@@ -138,7 +136,8 @@ let run ?(quick = false) ?jobs () =
         :: !recovery_json)
     recovery_series;
   {
-    tables = [ sweep; recovery ];
+    Workloads.Experiments.tables = [ sweep; recovery ];
+    results = [];
     extra =
       [
         ("kvserve_sweep", Json.List (List.rev !sweep_json));
@@ -237,6 +236,7 @@ let run_trace ?(quick = false) ?jobs () =
         :: !json)
     series;
   {
-    tables = [ latency_tbl; blame_tbl ];
+    Workloads.Experiments.tables = [ latency_tbl; blame_tbl ];
+    results = [];
     extra = [ ("trace_domains", Json.List (List.rev !json)) ];
   }

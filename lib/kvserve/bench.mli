@@ -11,15 +11,12 @@
     and across [jobs] values.  Only wall-clock recovery time is
     excluded from the gated output (it lands in the JSON extras). *)
 
-type outcome = {
-  tables : Repro_util.Table.t list;
-  extra : (string * Workloads.Bench_json.json) list;
-      (** spliced into [BENCH_kvserve.json] by the bench harness *)
-}
+val run : ?quick:bool -> ?jobs:int -> unit -> Workloads.Experiments.outcome
+(** [results] is empty: the per-run metrics land in [extra], which
+    [ptm_bench experiment kvserve --json] splices into
+    [BENCH_kvserve.json]. *)
 
-val run : ?quick:bool -> ?jobs:int -> unit -> outcome
-
-val run_trace : ?quick:bool -> ?jobs:int -> unit -> outcome
+val run_trace : ?quick:bool -> ?jobs:int -> unit -> Workloads.Experiments.outcome
 (** The [trace] experiment: every durability domain served with request
     tracing on; emits end-to-end latency percentiles measured from the
     request spans (with the per-request accounting slack, which is 0

@@ -1,6 +1,5 @@
-(* Three parallel arrays per slot: key, insertion sequence (FIFO
-   tie-break, mirroring Min_heap), payload.  All sifting moves ints
-   only. *)
+(* Three parallel arrays per slot: key, insertion sequence (the FIFO
+   tie-break among equal keys), payload.  All sifting moves ints only. *)
 
 type t = {
   mutable keys : int array;

@@ -4,10 +4,9 @@
     Entries live in flat [int array]s, so pushing and popping an event
     allocates nothing (no entry record, no option, no tuple).  Tie-break
     order is FIFO among equal keys, which keeps simulations
-    deterministic.  The retired polymorphic {!Min_heap} survives only
-    as this module's differential oracle: [test/test_util.ml] drives
-    both heaps with identical operation sequences and requires
-    identical pop orders. *)
+    deterministic.  [test/test_util.ml] checks it differentially
+    against a stable sorted-list model: identical operation sequences
+    must give identical pop orders. *)
 
 type t
 

@@ -319,9 +319,11 @@ let regress ?(tolerance_pct = 5.0) ?(include_wall = false) ~baseline ~current ()
   let findings = ref [] in
   let add path severity detail = findings := { f_path = path; f_severity = severity; f_detail = detail } :: !findings in
   let num = function Int i -> Some (float_of_int i) | Float f -> Some f | _ -> None in
+  let skipped name = (not include_wall) && wall_metric name in
+  let gated name = (not (skipped name)) && (higher_better name || lower_better name) in
   let leaf path name b c =
     match (num b, num c) with
-    | Some bv, Some cv when bv <> cv && not ((not include_wall) && wall_metric name) ->
+    | Some bv, Some cv when bv <> cv && not (skipped name) ->
       let delta =
         if bv <> 0.0 then (cv -. bv) /. Float.abs bv *. 100.0
         else if cv > 0.0 then infinity
@@ -337,6 +339,16 @@ let regress ?(tolerance_pct = 5.0) ?(include_wall = false) ~baseline ~current ()
       end
     | _ -> ()
   in
+  (* A gated number in the baseline must still be a number in the
+     current record: a metric that went missing, or non-finite (written
+     as [null]), is a regression, not a shrug. *)
+  let rec lost path name b what =
+    match b with
+    | (Int _ | Float _) when gated name -> add path Regression (what ^ " in current")
+    | Obj bs -> List.iter (fun (k, bv) -> lost (path ^ "." ^ k) k bv what) bs
+    | List bs -> List.iteri (fun i bv -> lost (Printf.sprintf "%s[%d]" path i) name bv what) bs
+    | _ -> ()
+  in
   let rec walk path name b c =
     match (b, c) with
     | Obj bs, Obj cs ->
@@ -345,7 +357,11 @@ let regress ?(tolerance_pct = 5.0) ?(include_wall = false) ~baseline ~current ()
           let kpath = if path = "" then k else path ^ "." ^ k in
           match List.assoc_opt k cs with
           | Some cv -> walk kpath k bv cv
-          | None -> add kpath Note "present in baseline, missing in current")
+          | None ->
+            let before = List.length !findings in
+            lost kpath k bv "missing";
+            if List.length !findings = before then
+              add kpath Note "present in baseline, missing in current")
         bs;
       List.iter
         (fun (k, _) ->
@@ -356,7 +372,8 @@ let regress ?(tolerance_pct = 5.0) ?(include_wall = false) ~baseline ~current ()
         cs
     | List bs, List cs ->
       let nb = List.length bs and nc = List.length cs in
-      if nb <> nc then add path Note (Printf.sprintf "list length %d -> %d" nb nc);
+      if nc < nb then add path Regression (Printf.sprintf "list length %d -> %d" nb nc)
+      else if nb <> nc then add path Note (Printf.sprintf "list length %d -> %d" nb nc);
       List.iteri
         (fun i bv ->
           match List.nth_opt cs i with
@@ -369,6 +386,8 @@ let regress ?(tolerance_pct = 5.0) ?(include_wall = false) ~baseline ~current ()
     | Bool a, Bool b2 ->
       if a <> b2 then add path Note (Printf.sprintf "%b -> %b" a b2)
     | Null, Null -> ()
+    | (Int _ | Float _), Null when gated name -> add path Regression "null (non-finite) in current"
+    | (Int _ | Float _), _ when gated name -> add path Regression "no longer a number in current"
     | _ -> add path Note "value type changed"
   in
   walk "" "" baseline current;

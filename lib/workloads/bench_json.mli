@@ -89,7 +89,11 @@ val regress :
     name: throughput-like names ([*_per_sec], [commits], [*hit*], ...)
     must not fall, cost-like names ([*_ns], [aborts], [*miss*],
     [*stall*], ...) must not rise; anything else beyond tolerance is a
-    {!Note}.  Wall-clock / environment fields ([wall_s], [jobs],
-    [cores], [events_per_sec], [*wall_ns*]) are skipped unless
-    [include_wall] — they move with the host, not the code.  Findings
-    come back in walk order; an empty list means within tolerance. *)
+    {!Note}.  A baseline number whose name carries a direction is also
+    a {!Regression} when the current record lost it: missing, [null]
+    (a non-finite value) or no longer a number; so is a current list
+    shorter than the baseline's (a dropped cell).  Wall-clock /
+    environment fields ([wall_s], [jobs], [cores], [events_per_sec],
+    [*wall_ns*]) are skipped unless [include_wall] — they move with the
+    host, not the code.  Findings come back in walk order; an empty
+    list means within tolerance. *)

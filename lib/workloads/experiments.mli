@@ -134,4 +134,7 @@ val recovery_time : ?quick:bool -> ?jobs:int -> unit -> outcome
     distort; [jobs] is accepted and ignored. *)
 
 val all : (string * (?quick:bool -> ?jobs:int -> unit -> outcome)) list
-(** Every experiment, keyed by its CLI name. *)
+(** Every experiment of this module, keyed by its CLI name.  The
+    [ptm_bench] registry runs these and adds the service, tracing,
+    telemetry and microbenchmark experiments, which live outside this
+    library. *)

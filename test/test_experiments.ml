@@ -49,6 +49,41 @@ let test_quick_flag_shrinks_fig8 () =
       (String.split_on_char ',' header = [ "series"; "32KB"; "32MB" ])
   | _ -> Alcotest.fail "expected one table"
 
+(* The bench-regression sentinel on a hand-built record: a two-cell
+   result list with a direction-bearing latency and counter, a wall
+   clock and a root-level allocation metric. *)
+module J = Workloads.Bench_json
+
+let record ?(wall_s = 1.0) ?(minor = 6.4) ?(p99 = 1000.0) ?(cells = 2) ?(extra = []) () =
+  let cell i =
+    J.Obj [ ("workload", J.String "bank"); ("p99_ns", J.Float p99); ("commits", J.Int (50 + i)) ]
+  in
+  J.Obj
+    ([ ("experiment", J.String "demo"); ("wall_s", J.Float wall_s);
+       ("minor_words_per_event", J.Float minor); ("results", J.List (List.init cells cell)) ]
+    @ extra)
+
+(* Each current record against [record ()], read back through its JSON
+   text as `ptm_bench regress` reads it, and the severities expected. *)
+let regress_cases =
+  let without key = function J.Obj kvs -> J.Obj (List.remove_assoc key kvs) | j -> j in
+  [
+    ("identical record is clean", record (), []);
+    ("doubled p99_ns regresses", record ~p99:2000.0 (), [ J.Regression; J.Regression ]);
+    ("NaN written as null regresses", record ~minor:nan (), [ J.Regression ]);
+    ("dropped gated key regresses", without "minor_words_per_event" (record ()), [ J.Regression ]);
+    ("dropped result cell regresses", record ~cells:1 (), [ J.Regression ]);
+    ("wall_s change is ignored", record ~wall_s:9.0 (), []);
+    ("new field is a note", record ~extra:[ ("p50_ns", J.Float 1.0) ] (), [ J.Note ]);
+  ]
+
+let test_regress current expected () =
+  let findings = J.regress ~baseline:(record ()) ~current:(J.parse (J.to_string current)) () in
+  let name = function J.Regression -> "regression" | J.Improvement -> "improvement" | J.Note -> "note" in
+  Alcotest.(check (list string))
+    "severities" (List.map name expected)
+    (List.map (fun f -> name f.J.f_severity) findings)
+
 let suite =
   [
     Alcotest.test_case "registry: unique names" `Quick test_registry_names_unique;
@@ -57,3 +92,7 @@ let suite =
     Alcotest.test_case "recovery-time regenerates" `Slow test_recovery_time_experiment;
     Alcotest.test_case "fig8 quick axis" `Slow test_quick_flag_shrinks_fig8;
   ]
+  @ List.map
+      (fun (name, current, expected) ->
+        Alcotest.test_case ("regress: " ^ name) `Quick (test_regress current expected))
+      regress_cases

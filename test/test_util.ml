@@ -91,64 +91,52 @@ let test_stats_counter () =
   Alcotest.(check (float 1e-9)) "max" 3.0 (Stats.maximum c);
   Alcotest.(check (float 1e-9)) "avg" 2.0 (Stats.average c)
 
-let test_min_heap_orders () =
-  let h = Min_heap.create () in
-  List.iter (fun k -> Min_heap.push h ~key:k k) [ 5; 1; 4; 1; 3 ];
-  let out = List.init 5 (fun _ -> match Min_heap.pop h with Some (k, _) -> k | None -> -1) in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] out
-
-let test_min_heap_fifo_ties () =
-  let h = Min_heap.create () in
-  Min_heap.push h ~key:1 "a";
-  Min_heap.push h ~key:1 "b";
-  Min_heap.push h ~key:1 "c";
-  let order = List.init 3 (fun _ -> match Min_heap.pop h with Some (_, v) -> v | None -> "") in
-  Alcotest.(check (list string)) "FIFO among equal keys" [ "a"; "b"; "c" ] order
-
-let prop_min_heap_sorts =
-  Helpers.qtest "min_heap sorts any list" QCheck2.Gen.(list small_int) (fun xs ->
-      let h = Min_heap.create () in
-      List.iter (fun x -> Min_heap.push h ~key:x x) xs;
-      let rec drain acc =
-        match Min_heap.pop h with Some (k, _) -> drain (k :: acc) | None -> List.rev acc
-      in
-      drain [] = List.sort compare xs)
-
-(* Min_heap's only remaining job: differential oracle for the
-   scheduler's Int_heap.  Drive both with the same interleaved
-   push/pop sequence and require identical (key, payload) pop orders —
-   including the FIFO tie-break determinism rests on. *)
-let prop_int_heap_matches_min_heap =
+(* The differential oracle for the scheduler's Int_heap: a list kept
+   sorted by key, each push inserted after every equal key, so pops
+   come out in key order and FIFO among equal keys — the tie-break
+   determinism rests on.  Drive both with the same interleaved push/pop
+   sequence and require identical (key, payload) pop orders. *)
+let prop_int_heap_matches_sorted_list =
   let op_gen = QCheck2.Gen.(oneof [ map (fun k -> Some k) (int_range 0 50); return None ]) in
-  Helpers.qtest "int_heap differentially equals min_heap (oracle)"
+  Helpers.qtest "int_heap = stable sorted-list model"
     QCheck2.Gen.(list op_gen)
     (fun ops ->
-      let oracle = Min_heap.create () in
+      let oracle = ref [] in
+      let push key v =
+        let rec insert = function
+          | (k, _) as e :: rest when k <= key -> e :: insert rest
+          | rest -> (key, v) :: rest
+        in
+        oracle := insert !oracle
+      in
+      let pop () =
+        match !oracle with
+        | [] -> None
+        | e :: rest ->
+          oracle := rest;
+          Some e
+      in
       let subject = Int_heap.create () in
       let payload = ref 0 in
+      let agree () =
+        match (pop (), Int_heap.pop subject) with
+        | None, got -> got = -1
+        | Some (k, v), got -> got = v && Int_heap.last_key subject = k
+      in
       List.for_all
         (fun op ->
           match op with
           | Some key ->
             incr payload;
-            Min_heap.push oracle ~key !payload;
+            push key !payload;
             Int_heap.push subject ~key !payload;
             true
-          | None -> (
-            match (Min_heap.pop oracle, Int_heap.pop subject) with
-            | None, got -> got = -1
-            | Some (k, v), got -> got = v && Int_heap.last_key subject = k))
+          | None -> agree ())
         ops
-      && begin
-           (* Drain whatever is left; orders must agree to the end. *)
-           let rec drain () =
-             match (Min_heap.pop oracle, Int_heap.pop subject) with
-             | None, got -> got = -1
-             | Some (k, v), got ->
-               got = v && Int_heap.last_key subject = k && drain ()
-           in
-           drain ()
-         end)
+      &&
+      (* Drain whatever is left; orders must agree to the end. *)
+      let rec drain () = if !oracle = [] then agree () else agree () && drain () in
+      drain ())
 
 let test_lru_eviction_order () =
   let lru = Lru.create ~capacity:2 in
@@ -387,10 +375,7 @@ let suite =
     Alcotest.test_case "stats: mean/stddev" `Quick test_stats_mean_stddev;
     Alcotest.test_case "stats: percentile" `Quick test_stats_percentile;
     Alcotest.test_case "stats: counter" `Quick test_stats_counter;
-    Alcotest.test_case "min_heap: ordering" `Quick test_min_heap_orders;
-    Alcotest.test_case "min_heap: FIFO ties" `Quick test_min_heap_fifo_ties;
-    prop_min_heap_sorts;
-    prop_int_heap_matches_min_heap;
+    prop_int_heap_matches_sorted_list;
     Alcotest.test_case "lru: eviction order" `Quick test_lru_eviction_order;
     Alcotest.test_case "lru: dirty tracking" `Quick test_lru_dirty_tracking;
     Alcotest.test_case "lru: dirty eviction" `Quick test_lru_dirty_eviction_reported;
