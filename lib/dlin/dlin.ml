@@ -146,7 +146,10 @@ let check ?(max_nodes = default_max_nodes) ?(durability = `Strict) spec h ~recov
   in
   let pos = Array.make nthreads 0 in
   let nodes = ref 0 and memo_hits = ref 0 in
-  let memo : (string, 'st list) Hashtbl.t = Hashtbl.create 4096 in
+  (* Sized on demand: most crash probes visit a handful of nodes, and
+     the table is only probed and replaced, never iterated, so its
+     initial size changes no verdict or count. *)
+  let memo : (string, 'st list) Hashtbl.t = Hashtbl.create 16 in
   let key_of st =
     let b = Buffer.create 32 in
     Array.iter

@@ -1,15 +1,20 @@
-(* Demand-paged heap image.
+(* Demand-paged, copy-on-write heap image.
 
    A flat [Array.make heap_words 0] costs ~16 MB of zeroing per image
    (heap + media) on every cell of every experiment — ~21 ms of each
    quick cell goes to pages the workload never touches.  This
    representation splits the address space into fixed page-sized chunks
-   that all start as one shared, immutable all-zero chunk; a chunk is
-   materialized (copied out of the zero page) only on first write.
-   Reads are two unsafe loads; writes add one physical-equality test
-   against the zero page.  Copies, blits and image serialization walk
-   only the touched chunks, so crash-image materialization and reboot
-   are O(touched) instead of O(heap). *)
+   that all start as one shared, immutable all-zero chunk.
+
+   Chunks are shared between images, not just with the zero page: each
+   image carries an ownership byte per chunk, and only an owned chunk
+   may be written in place.  A write to a chunk the image does not own
+   (the zero page, or a chunk another image may still reference) first
+   copies it — or zero-fills a fresh one — and takes ownership.  [copy]
+   and [assign] share every chunk pointer and clear ownership on both
+   sides, so a crash image, a reboot or an image load costs the chunk
+   index plus the chunks somebody writes afterwards.  Reads are two
+   unsafe loads; writes test one byte. *)
 
 let chunk_words = Machine.Layout.words_per_page
 let chunk_shift = 9 (* log2 chunk_words *)
@@ -19,30 +24,37 @@ let () = assert (1 lsl chunk_shift = chunk_words)
 type t = {
   words : int;
   chunks : int array array; (* chunks.(i) == zero  <=>  never written *)
+  (* owned.[i] <> '\000'  <=>  chunks.(i) is this image's private,
+     writable copy.  Never set for the zero page. *)
+  owned : Bytes.t;
 }
 
 (* The shared zero page.  Every read of an untouched chunk goes through
-   this array; nothing may ever write to it — all mutation paths below
-   materialize first. *)
+   this array; nothing may ever write to it — it is never owned, so
+   every mutation path below copies first. *)
 let zero = Array.make chunk_words 0
 
 let nchunks words = (words + chunk_words - 1) / chunk_words
 
 let create ~words =
   if words <= 0 then invalid_arg "Pheap.create: words must be positive";
-  { words; chunks = Array.make (nchunks words) zero }
+  let n = nchunks words in
+  { words; chunks = Array.make n zero; owned = Bytes.make n '\000' }
 
 let words t = t.words
 
 let[@inline] get t addr =
   Array.unsafe_get (Array.unsafe_get t.chunks (addr lsr chunk_shift)) (addr land chunk_mask)
 
+(* The one write barrier: a chunk this image does not own is copied
+   (the zero page: zero-filled) and taken over before any write. *)
 let[@inline] chunk_for_write t ci =
-  let c = Array.unsafe_get t.chunks ci in
-  if c != zero then c
+  if Bytes.unsafe_get t.owned ci <> '\000' then Array.unsafe_get t.chunks ci
   else begin
-    let fresh = Array.make chunk_words 0 in
+    let c = Array.unsafe_get t.chunks ci in
+    let fresh = if c == zero then Array.make chunk_words 0 else Array.copy c in
     Array.unsafe_set t.chunks ci fresh;
+    Bytes.unsafe_set t.owned ci '\001';
     fresh
   end
 
@@ -66,8 +78,9 @@ let touched t =
   !n
 
 (* Copy [len] words at [base] from [src] to [dst] (same offsets in
-   both).  Zero-aware: a zero source chunk zero-fills the destination
-   range only when the destination chunk is materialized. *)
+   both).  A whole chunk is shared; an already-shared chunk is left
+   alone; a zero source range zero-fills the destination only when the
+   destination chunk is materialized. *)
 let copy_range ~src ~dst base len =
   if base < 0 || len < 0 || base + len > src.words || base + len > dst.words then
     invalid_arg "Pheap.copy_range";
@@ -78,30 +91,28 @@ let copy_range ~src ~dst base len =
     let off = !pos land chunk_mask in
     let n = min !remaining (chunk_words - off) in
     let sc = Array.unsafe_get src.chunks ci in
-    if sc == zero then begin
-      let dc = Array.unsafe_get dst.chunks ci in
-      if dc != zero then Array.fill dc off n 0
+    let dc = Array.unsafe_get dst.chunks ci in
+    if sc == dc then ()
+    else if n = chunk_words then begin
+      Array.unsafe_set dst.chunks ci sc;
+      Bytes.unsafe_set src.owned ci '\000';
+      Bytes.unsafe_set dst.owned ci '\000'
     end
+    else if sc == zero then Array.fill (chunk_for_write dst ci) off n 0
     else Array.blit sc off (chunk_for_write dst ci) off n;
     pos := !pos + n;
     remaining := !remaining - n
   done
 
-(* [dst] becomes a copy of [src]'s content.  Untouched source chunks
-   revert the destination chunk to the shared zero page (dropping any
-   materialized garbage); touched chunks are deep-copied, never shared
-   — both images stay independently mutable. *)
+(* [dst] becomes a copy of [src]'s content by sharing every chunk;
+   neither side owns any of them afterwards, so the first write on
+   either side copies. *)
 let assign ~src ~dst =
   if src.words <> dst.words then invalid_arg "Pheap.assign: size mismatch";
-  for ci = 0 to Array.length src.chunks - 1 do
-    let sc = Array.unsafe_get src.chunks ci in
-    if sc == zero then Array.unsafe_set dst.chunks ci zero
-    else begin
-      let dc = Array.unsafe_get dst.chunks ci in
-      if dc == zero then Array.unsafe_set dst.chunks ci (Array.copy sc)
-      else Array.blit sc 0 dc 0 chunk_words
-    end
-  done
+  let n = Array.length src.chunks in
+  Array.blit src.chunks 0 dst.chunks 0 n;
+  Bytes.fill src.owned 0 n '\000';
+  Bytes.fill dst.owned 0 n '\000'
 
 let copy t =
   let fresh = create ~words:t.words in
@@ -109,7 +120,8 @@ let copy t =
   fresh
 
 let fill_zero t =
-  Array.fill t.chunks 0 (Array.length t.chunks) zero
+  Array.fill t.chunks 0 (Array.length t.chunks) zero;
+  Bytes.fill t.owned 0 (Bytes.length t.owned) '\000'
 
 (* Flat-array bridges for the WPQ pending arena: line-sized transfers
    between a heap image and a stride slab.  Line-aligned ranges never
@@ -155,13 +167,17 @@ let iter_touched t f =
 let of_touched ~words pairs =
   let t = create ~words in
   let nc = Array.length t.chunks in
-  List.iter
-    (fun (ci, data) ->
-      if ci < 0 || ci >= nc then invalid_arg "Pheap.of_touched: chunk index out of range";
-      if Array.length data <> chunk_words then
-        invalid_arg "Pheap.of_touched: bad chunk length";
-      t.chunks.(ci) <- Array.copy data)
-    pairs;
+  ignore
+    (List.fold_left
+       (fun prev (ci, data) ->
+         if ci < 0 || ci >= nc then invalid_arg "Pheap.of_touched: chunk index out of range";
+         if ci <= prev then invalid_arg "Pheap.of_touched: chunk indices not strictly increasing";
+         if Array.length data <> chunk_words then
+           invalid_arg "Pheap.of_touched: bad chunk length";
+         t.chunks.(ci) <- Array.copy data;
+         Bytes.set t.owned ci '\001';
+         ci)
+       (-1) pairs);
   t
 
 let to_flat t =

@@ -307,13 +307,15 @@ let wall_metric name =
 let higher_better name =
   contains name "per_sec" || contains name "per_abort" || contains name "speedup"
   || name = "commits" || contains name "hit"
+  (* crash-state coverage: instants enumerated and probed *)
+  || name = "candidates" || name = "tested"
 
 let lower_better name =
   String.ends_with ~suffix:"_ns" name
   || String.ends_with ~suffix:"_us" name
   || name = "aborts" || contains name "miss" || contains name "stall"
   || contains name "slack" || contains name "latency" || contains name "imbalance"
-  || contains name "words_per_event"
+  || contains name "words_per_event" || contains name "words_per_probe"
 
 let regress ?(tolerance_pct = 5.0) ?(include_wall = false) ~baseline ~current () =
   let findings = ref [] in

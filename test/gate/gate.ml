@@ -5,8 +5,8 @@
    NAME picks an entry of [gates] below.  --full selects the full form
    of a gate that has one (dlin, mod and fams: the @dlin, @mod and
    @fams aliases pass it).  ARG is the gate's one input when it needs
-   one: the committed baseline record for mod and fams, the ptm_bench
-   executable for trace.
+   one: the committed baseline record for mod, fams and crashbench, the
+   ptm_bench executable for trace.
 
    Every gate counts its checks through [check] and ends on one verdict
    line.  A gate with a wall-clock budget (fast and full constants in
@@ -76,14 +76,10 @@ let same_bytes render jobs =
       end)
     jobs
 
-(* Regress a fresh quick-size record of [outcome] against the committed
-   baseline at [path].  The record goes through its JSON text, so a
-   non-finite metric reaches the sentinel as the [null] it would be
-   written as. *)
-let regress_against path ~experiment ~wall_s (outcome : Experiments.outcome) =
-  let record =
-    J.outcome_json ~experiment ~quick:true ~jobs:1 ~wall_s ~extra:outcome.extra outcome.results
-  in
+(* Regress a fresh record against the committed baseline at [path].
+   The record goes through its JSON text, so a non-finite metric
+   reaches the sentinel as the [null] it would be written as. *)
+let regress_record path record =
   let label = Printf.sprintf "regress vs committed %s" (Filename.basename path) in
   match J.regress ~baseline:(J.parse_file path) ~current:(J.parse (J.to_string record)) () with
   | findings ->
@@ -91,6 +87,11 @@ let regress_against path ~experiment ~wall_s (outcome : Experiments.outcome) =
     List.iter (fun f -> Printf.printf "  regress %s: %s\n" f.J.f_path f.J.f_detail) regressions;
     check label (regressions = [])
   | exception J.Parse_error msg -> check (Printf.sprintf "%s: parse (%s)" label msg) false
+
+(* The same for a quick-size record of an experiment's [outcome]. *)
+let regress_against path ~experiment ~wall_s (outcome : Experiments.outcome) =
+  regress_record path
+    (J.outcome_json ~experiment ~quick:true ~jobs:1 ~wall_s ~extra:outcome.extra outcome.results)
 
 (* Every cell of the grid [xs] x [ys] x [zs] is [find]-able and [ok]. *)
 let every_cell find what ok xs ys zs =
@@ -165,6 +166,84 @@ let crash_sweep () =
 
 let crashtest ~full:_ _ =
   match env "CRASHTEST_REPLAY" with Some spec -> crash_replay spec | None -> crash_sweep ()
+
+(* ---------- crashbench: what a crash probe costs ---------- *)
+
+(* The crash-audit benchmark's cells — four PTM cells and the FAMS bank
+   cell, at their benchmark sizes — explored at 24 seeded points each.
+   Per cell the record holds the candidate and probed instant counts
+   and the words allocated per probe (all deterministic, so gated at
+   the sentinel's 5% band), plus the cell's wall time (recorded, never
+   gated).  The fresh record is written to crashtest.current.json in
+   the working directory, then regressed against ARG, the committed
+   BENCH_crashtest.json; re-record by copying the former over the
+   latter. *)
+
+let crashbench_points = 24
+let crashbench_seed = 1
+
+let crashbench_cells () =
+  let ptm key model algorithm scenario =
+    (key, model, Engine.Subject.ptm ~algorithm scenario)
+  in
+  [
+    ptm "bank.adr.redo" Config.optane_adr Pstm.Ptm.Redo (Scenarios.bank ~threads:4 ~ops:10 ());
+    ptm "btree.adr.undo" Config.optane_adr Pstm.Ptm.Undo (Scenarios.btree ~threads:4 ~ops:8 ());
+    ptm "kv-batch.eadr.redo" Config.optane_eadr Pstm.Ptm.Redo
+      (Scenarios.kv_batch ~threads:4 ~ops:5 ());
+    ptm "mod-btree.adr.mod" Config.optane_adr Pstm.Ptm.Mod (Scenarios.mod_btree ~threads:3 ~ops:8 ());
+    ( "fams-bank.adr.line",
+      Config.optane_adr,
+      Engine.Subject.fams ~granularity:Fams.Line (Scenarios.fams_bank ~ops:16 ()) );
+  ]
+
+(* Words allocated so far, a word promoted from the minor heap counted
+   once. *)
+let allocated_words () =
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+let crashbench ~full:_ baseline =
+  let baseline = need "the committed BENCH_crashtest.json" baseline in
+  let t0 = Unix.gettimeofday () in
+  let cells =
+    List.map
+      (fun (key, model, subject) ->
+        let w0 = allocated_words () and c0 = Unix.gettimeofday () in
+        let r =
+          Engine.explore_subject ~points:crashbench_points ~seed:crashbench_seed ~exhaustive:false
+            ~model subject
+        in
+        let words = allocated_words () -. w0 and wall_s = Unix.gettimeofday () -. c0 in
+        check (key ^ ": every probed crash point recovers") (Engine.ok r);
+        (* FAMS cells probe every drain candidate on top of the sample. *)
+        check (key ^ ": probed the sample")
+          (r.Engine.tested >= min crashbench_points r.Engine.candidates);
+        ( key,
+          J.Obj
+            [
+              ("candidates", J.Int r.Engine.candidates);
+              ("tested", J.Int r.Engine.tested);
+              ("words_per_probe", J.Int (int_of_float (words /. float_of_int (max 1 r.Engine.tested))));
+              ("wall_s", J.Float wall_s);
+            ] ))
+      (crashbench_cells ())
+  in
+  let record =
+    J.Obj
+      [
+        ("experiment", J.String "crashtest");
+        ("points", J.Int crashbench_points);
+        ("seed", J.Int crashbench_seed);
+        ("wall_s", J.Float (Unix.gettimeofday () -. t0));
+        ("cells", J.Obj cells);
+      ]
+  in
+  Out_channel.with_open_text "crashtest.current.json" (fun oc ->
+      output_string oc (J.to_string record);
+      output_char oc '\n');
+  regress_record baseline record;
+  Printf.sprintf "crashbench: %d cells within the committed record" (List.length cells)
 
 (* ---------- dlin: the durable-linearizability matrix ---------- *)
 
@@ -684,6 +763,7 @@ type gate = {
 let gates =
   [
     { name = "crashtest"; budget_s = None; run = crashtest };
+    { name = "crashbench"; budget_s = None; run = crashbench };
     { name = "dlin"; budget_s = Some (60.0, 600.0); run = dlin };
     { name = "mod"; budget_s = Some (120.0, 900.0); run = mod_ };
     { name = "fams"; budget_s = Some (120.0, 900.0); run = fams };

@@ -837,6 +837,154 @@ let test_stops_must_be_sorted () =
           (String.concat "; " (Array.to_list (Array.map string_of_int stops))))
     [ [| 50; 10 |]; [| 10; 10 |]; [| 1; 5; 3 |] ]
 
+(* ---------- copy-on-write images ---------- *)
+
+(* Three images over one and a half chunks past a chunk boundary (so
+   the last chunk is partial), each shadowed by a flat array.  A step
+   is (op, dst, src, a, b):
+   0 set, 1 copy, 2 assign, 3 copy_range at an arbitrary offset,
+   4 whole-chunk copy_range (shares), 5 blit_of_array, 6 fill_zero,
+   7 of_touched.  Images share chunks after copy/assign, so a write
+   through one that leaked into another shows up as a model mismatch. *)
+let cow_words = (3 * Pheap.chunk_words) + 100
+
+let cow_ops_gen =
+  QCheck2.Gen.(
+    list_size (int_range 1 80)
+      (tup5 (int_range 0 7) (int_range 0 2) (int_range 0 2) (int_range 0 (cow_words - 1))
+         (int_range 1 (2 * Pheap.chunk_words))))
+
+let test_pheap_cow_differential =
+  Helpers.qtest ~count:300 "pheap: copy-on-write images vs flat models" cow_ops_gen (fun ops ->
+      let images = Array.init 3 (fun _ -> Pheap.create ~words:cow_words) in
+      let models = Array.init 3 (fun _ -> Array.make cow_words 0) in
+      let stamp = ref 0 in
+      let fresh_value () =
+        incr stamp;
+        !stamp
+      in
+      let clamp base len = min len (cow_words - base) in
+      let step (op, dst, src, a, b) =
+        match op with
+        | 0 ->
+          let v = fresh_value () in
+          Pheap.set images.(dst) a v;
+          models.(dst).(a) <- v
+        | 1 ->
+          images.(dst) <- Pheap.copy images.(src);
+          models.(dst) <- Array.copy models.(src)
+        | 2 ->
+          Pheap.assign ~src:images.(src) ~dst:images.(dst);
+          models.(dst) <- Array.copy models.(src)
+        | 3 | 4 ->
+          let base, len =
+            if op = 3 then (a, clamp a b)
+            else
+              let ci = a / Pheap.chunk_words in
+              let base = ci * Pheap.chunk_words in
+              (base, clamp base Pheap.chunk_words)
+          in
+          Pheap.copy_range ~src:images.(src) ~dst:images.(dst) base len;
+          Array.blit models.(src) base models.(dst) base len
+        | 5 ->
+          let len = clamp a b in
+          let data = Array.init len (fun _ -> fresh_value ()) in
+          Pheap.blit_of_array images.(dst) a data 0 len;
+          Array.blit data 0 models.(dst) a len
+        | 6 ->
+          Pheap.fill_zero images.(dst);
+          Array.fill models.(dst) 0 cow_words 0
+        | _ ->
+          let pairs = ref [] in
+          Pheap.iter_touched images.(src) (fun ci c -> pairs := (ci, c) :: !pairs);
+          images.(dst) <- Pheap.of_touched ~words:cow_words (List.rev !pairs);
+          models.(dst) <- Array.copy models.(src)
+      in
+      let zero_page_clean () =
+        let probe = Pheap.create ~words:Pheap.chunk_words in
+        let ok = ref true in
+        for i = 0 to Pheap.chunk_words - 1 do
+          if Pheap.get probe i <> 0 then ok := false
+        done;
+        !ok
+      in
+      let agree () =
+        Array.iteri
+          (fun k image ->
+            if Pheap.to_flat image <> models.(k) then
+              QCheck2.Test.fail_reportf "image %d diverged from its model" k;
+            let out = Array.make cow_words (-1) in
+            Pheap.blit_to_array image 0 out 0 cow_words;
+            if out <> models.(k) then QCheck2.Test.fail_reportf "image %d reads diverged" k)
+          images;
+        if not (zero_page_clean ()) then QCheck2.Test.fail_report "the zero page was written";
+        true
+      in
+      List.for_all
+        (fun o ->
+          step o;
+          agree ())
+        ops)
+
+(* A probe reboots a paused machine and the run resumes: the rebooted
+   machine and the paused one share chunks, yet writes on either side
+   never reach the other — neither the resumed run's writes the
+   rebooted heap or media, nor writes to a rebooted machine the paused
+   run or a later reboot.  eADR writes media eagerly, and PDRAM builds
+   the image from the heap itself. *)
+let test_reboot_shares_nothing_visible () =
+  let words = (Sim.config (stop_machine ())).Config.heap_words in
+  let heap_of sim =
+    let m = Sim.machine sim in
+    Array.init words m.Machine.raw_read
+  in
+  let media_of ?at sim = Pheap.to_flat (Sim.durable_image ?at sim) in
+  (* Store, write back and fence the lower half of the workload's lines
+     in [r] — heap and media both change there, while the chunks of the
+     upper half stay shared with the paused run. *)
+  let scribble r s =
+    let m = Sim.machine r in
+    for k = 0 to 99 do
+      m.Machine.store (64 * k) (-s - k);
+      m.Machine.clwb (64 * k)
+    done;
+    m.Machine.sfence ()
+  in
+  List.iter
+    (fun model ->
+      let name = model.Config.model_name in
+      let plain = stop_machine ~model () in
+      Sim.run plain;
+      let final = Sim.now plain in
+      let rebooted = ref [] in
+      let unchanged () =
+        List.iter
+          (fun (s, r, heap, media) ->
+            Helpers.check_bool (Printf.sprintf "%s: machine rebooted at %d keeps its heap" name s)
+              true (heap_of r = heap);
+            Helpers.check_bool (Printf.sprintf "%s: machine rebooted at %d keeps its media" name s)
+              true (media_of r = media))
+          !rebooted
+      in
+      let sim = stop_machine ~model () in
+      Sim.run sim ~stops:(stop_instants final) ~on_stop:(fun s ->
+          unchanged ();
+          let r = Sim.reboot ~at:s sim in
+          let paused = (heap_of sim, media_of ~at:s sim) in
+          scribble r s;
+          Helpers.check_bool
+            (Printf.sprintf "%s: writes after the reboot at %d stay out of the paused run" name s)
+            true
+            (paused = (heap_of sim, media_of ~at:s sim));
+          rebooted := (s, r, heap_of r, media_of r) :: !rebooted;
+          true);
+      unchanged ();
+      Helpers.check_bool (name ^ ": the run ends on the plain run's heap") true
+        (heap_of sim = heap_of plain);
+      Helpers.check_bool (name ^ ": the run ends on the plain run's media") true
+        (media_of sim = media_of plain))
+    [ Config.optane_adr; Config.optane_eadr; Config.pdram ]
+
 let suite =
   [
     Alcotest.test_case "sched: virtual-time order" `Quick test_sched_virtual_time_order;
@@ -885,4 +1033,7 @@ let suite =
       test_stop_image_is_crash_image;
     Alcotest.test_case "stops: false ends the run as a crash" `Quick test_stop_false_is_crash;
     Alcotest.test_case "stops: unsorted array is rejected" `Quick test_stops_must_be_sorted;
+    test_pheap_cow_differential;
+    Alcotest.test_case "pheap: a reboot and the resumed run write apart" `Quick
+      test_reboot_shares_nothing_visible;
   ]

@@ -311,6 +311,34 @@ let test_image_size_mismatch_rejected () =
       | _ -> Alcotest.fail "expected size mismatch"
       | exception Machine.Corrupt_image _ -> ())
 
+(* [save_image] writes chunks in strictly increasing index order; a
+   payload that repeats a chunk (the later one would silently win) or
+   goes backwards is corrupt.  The header here is the real format's. *)
+let test_image_chunk_order_enforced () =
+  let cfg = Memsim.Config.make ~heap_words:(1 lsl 14) Memsim.Config.optane_adr in
+  let chunk v = Array.make Memsim.Pheap.chunk_words v in
+  let write path pairs =
+    Out_channel.with_open_bin path (fun oc ->
+        List.iter (output_binary_int oc)
+          [ 0x50444D53; cfg.Memsim.Config.heap_words; Memsim.Pheap.chunk_words; List.length pairs ];
+        Marshal.to_channel oc (pairs : (int * int array) list) [])
+  in
+  let path = Filename.temp_file "pdimg" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      write path [ (3, chunk 7); (5, chunk 9) ];
+      let m = Sim.machine (Sim.load_image cfg path) in
+      Helpers.check_int "chunk 3 loaded" 7 (m.Machine.raw_read (3 * Memsim.Pheap.chunk_words));
+      Helpers.check_int "chunk 5 loaded" 9 (m.Machine.raw_read (5 * Memsim.Pheap.chunk_words));
+      List.iter
+        (fun (what, pairs) ->
+          write path pairs;
+          match Sim.load_image cfg path with
+          | _ -> Alcotest.failf "%s chunk index was accepted" what
+          | exception Machine.Corrupt_image _ -> ())
+        [ ("a repeated", [ (3, chunk 1); (3, chunk 2) ]); ("a decreasing", [ (5, chunk 1); (3, chunk 2) ]) ])
+
 let prop_queue_matches_model =
   Helpers.qtest ~count:30 "pqueue behaves like Queue"
     QCheck2.Gen.(list (option (int_range 0 100)))
@@ -356,5 +384,6 @@ let suite =
     Alcotest.test_case "image: cross-process roundtrip" `Quick test_image_roundtrip_across_machines;
     Alcotest.test_case "image: size mismatch" `Quick test_image_size_mismatch_rejected;
     Alcotest.test_case "image: truncation -> Corrupt_image" `Quick test_truncated_image_rejected;
+    Alcotest.test_case "image: chunk order -> Corrupt_image" `Quick test_image_chunk_order_enforced;
     prop_queue_matches_model;
   ]
