@@ -8,11 +8,15 @@ module Rng = Repro_util.Rng
    (JSONL, written as dlin.jsonl next to the other telemetry). *)
 type oracle_failure = { fail_reason : string; counterexample : string option }
 
-type instance = {
-  worker : tid:int -> Ptm.t -> unit;
-  validate : crashed:bool -> Sim.t -> Ptm.t -> (unit, string) result;
-  oracle : (crashed:bool -> Sim.t -> Ptm.t -> (unit, oracle_failure) result) option;
+type 'api instance = {
+  worker : tid:int -> 'api -> unit;
+  oracle : (crashed:bool -> Sim.t -> 'api -> (unit, oracle_failure) result) option;
+  validate : crashed:bool -> Sim.t -> 'api -> (unit, string) result;
 }
+
+(* The whole verdict is [oracle]; the field stays for readers built
+   against it, and the engine never calls it. *)
+let no_validate ~crashed:_ _ _ = Ok ()
 
 type scenario = {
   name : string;
@@ -21,20 +25,14 @@ type scenario = {
   log_words_per_thread : int;
   coalesce : bool;
   prepare : Ptm.t -> unit;
-  fresh : seed:int -> instance;
-}
-
-type fams_instance = {
-  f_worker : Sim.t -> Fams.t -> unit;
-  f_validate : crashed:bool -> Sim.t -> Fams.t -> (unit, string) result;
-  f_oracle : (crashed:bool -> Sim.t -> Fams.t -> (unit, oracle_failure) result) option;
+  fresh : seed:int -> Ptm.t instance;
 }
 
 type fams_scenario = {
   f_name : string;
   f_words : int;
   f_prepare : Fams.t -> unit;
-  f_fresh : seed:int -> fams_instance;
+  f_fresh : seed:int -> Fams.t instance;
 }
 
 type failure = {
@@ -87,9 +85,10 @@ let getenv_int name default =
     | None -> invalid_arg (Printf.sprintf "%s=%S: not an integer" name s))
 
 let exhaustive_from_env () =
-  match Sys.getenv_opt "CRASHTEST_EXHAUSTIVE" with
+  match Option.map String.trim (Sys.getenv_opt "CRASHTEST_EXHAUSTIVE") with
+  | None | Some ("" | "0" | "false" | "no") -> false
   | Some ("1" | "true" | "yes") -> true
-  | Some _ | None -> false
+  | Some s -> invalid_arg (Printf.sprintf "CRASHTEST_EXHAUSTIVE=%S: not a boolean" s)
 
 let check_points points =
   if points <= 0 then
@@ -104,19 +103,6 @@ let knobs ?points ?seed ?exhaustive () =
     match exhaustive with Some b -> b | None -> exhaustive_from_env () )
 
 (* ---------- verdicts ---------- *)
-
-(* Run the dlin oracle (when the scenario has one) before the shadow
-   validator, so a durable-linearizability violation — which carries a
-   replayable counterexample dump — takes precedence over the coarser
-   invariant check's message. *)
-let judge oracle validate ~crashed sim x =
-  let first = match oracle with None -> Ok () | Some o -> o ~crashed sim x in
-  match first with
-  | Error _ as e -> e
-  | Ok () ->
-    Result.map_error
-      (fun reason -> { fail_reason = reason; counterexample = None })
-      (validate ~crashed sim x)
 
 let integrity stage region =
   let report = Pmem.Check.run region in
@@ -163,6 +149,30 @@ module Subject = struct
     drains : bool;
   }
 
+  (* Spawn a fresh instance's workers on the API attached to [sim], and
+     judge it with its oracle on the finished machine or on any reboot
+     [recover] attaches the API to; an image recovery rejects fails the
+     probe. *)
+  let start_instance (inst : _ instance) ~threads ~region ~recover ~telemetry sim api =
+    let oracle =
+      match inst.oracle with
+      | Some o -> o
+      | None -> invalid_arg "Crashtest.Engine: a scenario instance must supply an oracle"
+    in
+    for tid = 0 to threads - 1 do
+      ignore (Sim.spawn sim (fun () -> inst.worker ~tid api))
+    done;
+    {
+      clean = (fun () -> oracle ~crashed:false sim api);
+      recover =
+        (fun sim2 ->
+          match recover sim2 with
+          | x -> Ok (region x, fun () -> oracle ~crashed:true sim2 x)
+          | exception Machine.Corrupt_image msg ->
+            Error { fail_reason = "recovery rejected the image: " ^ msg; counterexample = None });
+      telemetry;
+    }
+
   let ptm ?inject ~algorithm (sc : scenario) =
     let recover m = Ptm.recover ~algorithm ~coalesce:sc.coalesce ?inject m in
     let start ~seed ~telemetry sim =
@@ -171,11 +181,6 @@ module Subject = struct
         if telemetry then Some (Telemetry.attach ~config:failure_telemetry_config sim ptm)
         else None
       in
-      let inst = sc.fresh ~seed in
-      for tid = 0 to sc.threads - 1 do
-        ignore (Sim.spawn sim (fun () -> inst.worker ~tid ptm))
-      done;
-      let judge = judge inst.oracle inst.validate in
       let telemetry meta =
         match capture with
         | None -> []
@@ -190,14 +195,9 @@ module Subject = struct
           in
           Telemetry.files meta cap @ if Sim.crashed sim then [ recovery () ] else []
       in
-      {
-        clean = (fun () -> judge ~crashed:false sim ptm);
-        recover =
-          (fun sim2 ->
-            let x = recover (Sim.machine sim2) in
-            Ok (Ptm.region x, fun () -> judge ~crashed:true sim2 x));
-        telemetry;
-      }
+      start_instance (sc.fresh ~seed) ~threads:sc.threads ~region:Ptm.region
+        ~recover:(fun sim2 -> recover (Sim.machine sim2))
+        ~telemetry sim ptm
     in
     {
       scenario = sc.name;
@@ -235,27 +235,17 @@ module Subject = struct
                sim)
         else None
       in
-      let inst = sc.f_fresh ~seed in
-      ignore (Sim.spawn sim (fun () -> inst.f_worker sim fams));
-      let judge = judge inst.f_oracle inst.f_validate in
-      {
-        clean = (fun () -> judge ~crashed:false sim fams);
-        recover =
-          (fun sim2 ->
-            match Fams.recover ?inject sim2 with
-            | x -> Ok (Fams.region x, fun () -> judge ~crashed:true sim2 x)
-            | exception Machine.Corrupt_image msg ->
-              Error { fail_reason = "recovery rejected the image: " ^ msg; counterexample = None });
-        telemetry =
-          (fun meta ->
-            match profiler with
-            | None -> []
-            | Some p ->
-              [
-                ("profile.jsonl", Telemetry.Export.profile_jsonl meta p);
-                ("trace.json", Telemetry.Export.chrome_trace ?machine_trace:trace meta p);
-              ]);
-      }
+      let telemetry meta =
+        match profiler with
+        | None -> []
+        | Some p ->
+          [
+            ("profile.jsonl", Telemetry.Export.profile_jsonl meta p);
+            ("trace.json", Telemetry.Export.chrome_trace ?machine_trace:trace meta p);
+          ]
+      in
+      start_instance (sc.f_fresh ~seed) ~threads:1 ~region:Fams.region
+        ~recover:(Fams.recover ?inject) ~telemetry sim fams
     in
     {
       scenario = sc.f_name;
@@ -323,7 +313,8 @@ let run_armed ?crash_at a =
   let verdict = if Sim.crashed a.sim then crash a ~at:None else a.run.clean () in
   (verdict, Sim.now a.sim, a.trace)
 
-let dump_failure_telemetry cfg (s : Subject.t) ~model ~seed ~image ~crash_at =
+(* [extra] are files the probe's verdict adds (the dlin counterexample). *)
+let dump_failure_telemetry cfg (s : Subject.t) ~model ~seed ~image ~crash_at ~extra =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
@@ -346,10 +337,8 @@ let dump_failure_telemetry cfg (s : Subject.t) ~model ~seed ~image ~crash_at =
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
   List.iter
     (fun (name, body) ->
-      let oc = open_out_bin (Filename.concat dir name) in
-      output_string oc body;
-      close_out oc)
-    (a.run.telemetry meta);
+      Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc body))
+    (a.run.telemetry meta @ extra);
   dir
 
 (* ---------- exploration ---------- *)
@@ -502,21 +491,16 @@ let explore_subject ?points ?seed ?exhaustive ?(shrink_budget = 24) ?(nvm_channe
           in
           let min_t = shrink ~probe ~budget:shrink_budget t in
           let fail = match probe min_t with Error f -> f | Ok () -> first_fail in
-          let telemetry_dir =
-            try Some (dump_failure_telemetry cfg s ~model ~seed ~image ~crash_at:min_t)
-            with Sys_error _ -> None
-          in
           (* The dlin counterexample rides the same telemetry path as
              the other failure artifacts: one JSONL next to the replay
              line. *)
-          (match (telemetry_dir, fail.counterexample) with
-          | Some dir, Some jsonl -> (
-            try
-              let oc = open_out_bin (Filename.concat dir "dlin.jsonl") in
-              output_string oc jsonl;
-              close_out oc
-            with Sys_error _ -> ())
-          | _ -> ());
+          let extra =
+            match fail.counterexample with None -> [] | Some jsonl -> [ ("dlin.jsonl", jsonl) ]
+          in
+          let telemetry_dir =
+            try Some (dump_failure_telemetry cfg s ~model ~seed ~image ~crash_at:min_t ~extra)
+            with Sys_error _ -> None
+          in
           [
             {
               crash_at = t;
@@ -544,9 +528,6 @@ let explore_fams ?points ?seed ?exhaustive ?shrink_budget ?nvm_channels ?inject 
     ~granularity scenario =
   explore_subject ?points ?seed ?exhaustive ?shrink_budget ?nvm_channels ~model
     (Subject.fams ?inject ~granularity scenario)
-
-let run_point ?nvm_channels ?inject ~model ~algorithm ~seed ~crash_at scenario =
-  rerun ?nvm_channels ~model ~seed ~crash_at (Subject.ptm ?inject ~algorithm scenario)
 
 (* ---------- crash-during-recovery ---------- *)
 

@@ -25,11 +25,10 @@
       [Sim.reboot ~at]s the paused machine's durable image as of that
       instant, checks region integrity with {!Pmem.Check.run} both
       before and after the subject's recovery, and judges the
-      recovered state with the scenario's oracle and validator —
-      against the paused instance, whose shadow state and operation
-      history are those a crash at that instant leaves.  Then the run
-      resumes.  Instants after the last event get the crash-free
-      verdict;
+      recovered state with the scenario's one oracle — against the
+      paused instance, whose operation history is the one a crash at
+      that instant leaves.  Then the run resumes.  Instants after the
+      last event get the crash-free verdict;
     + on the first failure, ends the pass, shrinks to a smaller
       failing crash time by re-running the workload with
       [Sim.run ~crash_at] (the re-run path, also behind {!rerun}),
@@ -43,46 +42,50 @@
 
     Environment knobs (read by the explorers when the corresponding
     argument is omitted):
-    - [CRASHTEST_EXHAUSTIVE=1] — probe {e every} candidate instant
-      instead of a sample;
+    - [CRASHTEST_EXHAUSTIVE] — [1], [true] or [yes] probes {e every}
+      candidate instant instead of a sample; unset, empty, [0],
+      [false] or [no] samples;
     - [CRASHTEST_POINTS=n] — sample size per cell (default 64);
     - [CRASHTEST_SEED=n] — base RNG seed (default 1).
 
-    A sample size that is not a positive integer, or a seed that is not
-    an integer, raises [Invalid_argument] — from the variables and from
-    [?points] alike — instead of running a cell nobody asked for. *)
+    Any other [CRASHTEST_EXHAUSTIVE] value, a sample size that is not a
+    positive integer, or a seed that is not an integer raises
+    [Invalid_argument] — from the variables and from [?points] alike —
+    instead of running a cell nobody asked for. *)
 
-(** A failed oracle or validator check.  [counterexample], when present,
-    is a replayable JSONL dump (see {!Dlin.counterexample}) written as
-    [dlin.jsonl] into the failure's telemetry directory. *)
+(** A failed check.  [counterexample], when present, is a replayable
+    JSONL dump (see {!Dlin.counterexample}) written as [dlin.jsonl] into
+    the failure's telemetry directory. *)
 type oracle_failure = { fail_reason : string; counterexample : string option }
 
-(** One run of a scenario: volatile shadow state (what the workload
-    believes committed) plus the validator that checks it against the
-    recovered persistent state.
+(** One run of a scenario over a crash-consistency API ['api]
+    ({!Pstm.Ptm.t} or {!Fams.t}): the workers, which record every
+    logical operation in a {!Dlin.History}, and the one verdict on
+    them.
 
-    [validate] and [oracle] run while the workload is paused and must
-    not mutate the instance's state (shadow arrays, operation history):
-    the run resumes after them, and later probes judge the same
-    instance.  They may freely use the recovered machine they are
-    given. *)
-type instance = {
-  worker : tid:int -> Pstm.Ptm.t -> unit;
-      (** body of simulated thread [tid]; runs transactions and records
-          durable commits via [on_commit] hooks into the instance's
-          shadow state *)
-  validate : crashed:bool -> Memsim.Sim.t -> Pstm.Ptm.t -> (unit, string) result;
-      (** called untimed on the recovered (or cleanly finished) machine;
-          checks every invariant the scenario promises *)
-  oracle :
-    (crashed:bool -> Memsim.Sim.t -> Pstm.Ptm.t -> (unit, oracle_failure) result) option;
-      (** the durable-linearizability oracle: replays the recorded
-          operation history (see {!Dlin}) against the recovered state.
-          Runs {e before} [validate], so a linearizability violation —
-          which carries a replayable counterexample — takes precedence
-          over the coarser invariant check's message.  [None] for
-          scenarios without a history recorder. *)
+    [oracle] runs while the workload is paused and must not mutate the
+    instance's state (the operation history): the run resumes after
+    it, and later probes judge the same instance.  It may freely use
+    the recovered machine it is given. *)
+type 'api instance = {
+  worker : tid:int -> 'api -> unit;
+      (** body of simulated thread [tid] (FAMS runs only thread 0); it
+          reads its virtual clock from the API's machine *)
+  oracle : (crashed:bool -> Memsim.Sim.t -> 'api -> (unit, oracle_failure) result) option;
+      (** the verdict, called untimed on the recovered (or cleanly
+          finished) machine: extracts the abstract state — rejecting
+          data no abstract state can hold — and replays the recorded
+          operation history against it (see {!Dlin}), strictly when
+          [crashed] is false.  Every scenario supplies [Some]; the
+          engine refuses [None] with [Invalid_argument]. *)
+  validate : crashed:bool -> Memsim.Sim.t -> 'api -> (unit, string) result;
+      (** always {!no_validate}: the engine never calls it *)
 }
+
+val no_validate : crashed:bool -> Memsim.Sim.t -> 'api -> (unit, string) result
+(** [Ok ()].  Kept so readers built against the field (the perfbench
+    harness rebuilds probes from it) still compile; {!instance.oracle}
+    is the whole verdict. *)
 
 type scenario = {
   name : string;
@@ -96,24 +99,14 @@ type scenario = {
   prepare : Pstm.Ptm.t -> unit;
       (** untimed population phase, run once on a fresh region; must
           store any addresses the workers need in region roots *)
-  fresh : seed:int -> instance;
-      (** new instance with empty shadow state; equal seeds must yield
+  fresh : seed:int -> Pstm.Ptm.t instance;
+      (** new instance with an empty history; equal seeds must yield
           identical workloads (the reference run, the probing pass and
           every re-run each get a fresh instance) *)
 }
 
-(** One run of a FAMS scenario: the single mutator plus its checks. *)
-type fams_instance = {
-  f_worker : Memsim.Sim.t -> Fams.t -> unit;
-      (** body of the single mutator (FAMS is single-writer); the [Sim]
-          is passed for the virtual clock *)
-  f_validate : crashed:bool -> Memsim.Sim.t -> Fams.t -> (unit, string) result;
-  f_oracle :
-    (crashed:bool -> Memsim.Sim.t -> Fams.t -> (unit, oracle_failure) result) option;
-      (** durable-linearizability oracle; FAMS scenarios check with
-          [`Buffered] durability — recovery restores the last completed
-          sync, so any real-time-closed cut is legal *)
-}
+(** A FAMS scenario: the API's own set-up for a single mutator
+    (FAMS is single-writer). *)
 
 type fams_scenario = {
   f_name : string;
@@ -122,7 +115,7 @@ type fams_scenario = {
       (** raw (untimed) population of the working area; the engine
           checkpoints afterwards, so the prepared image starts fully
           synced *)
-  f_fresh : seed:int -> fams_instance;
+  f_fresh : seed:int -> Fams.t instance;
 }
 
 type failure = {
@@ -294,17 +287,6 @@ val explore_fams :
   report
 (** {!explore_subject} on [Subject.fams ?inject ~granularity scenario]. *)
 
-val run_point :
-  ?nvm_channels:int ->
-  ?inject:Pstm.Ptm.inject ->
-  model:Memsim.Config.model ->
-  algorithm:Pstm.Ptm.algorithm ->
-  seed:int ->
-  crash_at:int ->
-  scenario ->
-  (unit, string) result
-(** {!rerun} on [Subject.ptm ?inject ~algorithm scenario]. *)
-
 val recovery_convergence :
   ?nvm_channels:int ->
   ?budgets:int list ->
@@ -319,6 +301,6 @@ val recovery_convergence :
     after [k] persistent writes, for each sampled budget [k] (default:
     up to 8 seeded samples of the reference recovery's write count) —
     recover again, and require the final heap image to be word-for-word
-    identical to an uninterrupted recovery's, and the scenario model to
-    validate.  [Ok ()] when the workload ran to completion before
+    identical to an uninterrupted recovery's, and the scenario's oracle
+    to accept it.  [Ok ()] when the workload ran to completion before
     [crash_at]. *)

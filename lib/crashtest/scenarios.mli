@@ -1,32 +1,33 @@
-(** Ready-made crash-test scenarios with application-level oracles.
+(** Ready-made crash-test scenarios, each judged by one oracle.
 
-    Every application scenario carries {e two} oracles.  The primary is
-    a durable-linearizability check ({!Dlin}): each worker wraps every
-    logical operation in [Dlin.History.run] against the machine's
-    virtual clock, and after recovery the instance's [oracle] extracts
-    the recovered abstract state and searches for a legal durable
-    linearization explaining it.  A failure carries a replayable JSONL
-    counterexample (the recorded history plus the recovered state),
-    written as [dlin.jsonl] into the failure telemetry directory.  The
-    secondary [validate] keeps the original coarse shadow-state
-    invariants as a cross-check:
+    The oracle is a durable-linearizability check ({!Dlin}): each
+    worker wraps every logical operation in [Dlin.History.run] against
+    the machine's virtual clock, and after recovery the instance's
+    [oracle] extracts the recovered abstract state — rejecting data no
+    abstract state can hold — and searches for a legal durable
+    linearization explaining it.  A run that did not crash is judged
+    strictly, so it must retain every operation.  A failure carries a
+    replayable JSONL counterexample (the recorded history plus the
+    recovered state), written as [dlin.jsonl] into the failure
+    telemetry directory.  What each abstract state and extraction
+    covers:
 
-    - {!bank}: money conservation plus per-thread operation-sequence
-      cells — a committed transfer that vanishes, or an in-flight one
-      that half-appears, is caught; the dlin responses are the two
-      account values each transfer read;
+    - {!bank}: balances plus per-thread operation-sequence cells — a
+      committed transfer that vanishes, or an in-flight one that
+      half-appears, is explained by no linearization; the dlin
+      responses are the two account values each transfer read;
     - {!counters}: every transaction rewrites all slots, so recovered
       slots must be equal (atomicity) and the single abstract value
       must be explained by an increment order consistent with the
       returned new-values;
-    - {!btree}: B+Tree structural invariants plus key-set bounds — the
-      recovered key set contains every durably committed insert and
-      nothing that was never attempted;
+    - {!btree}: B+Tree structural invariants (checked by the
+      extraction) plus the recovered key-value map;
     - {!alloc_churn}: allocator accounting over a persistent slot
       directory — each thread acquires stamped, signature-filled
-      blocks into its own directory slots or releases them, and the
-      recovered stamp-per-slot vector must match a durable prefix;
-      {!Pmem.Check} cross-checks live-block counts;
+      blocks into its own directory slots or releases them; every
+      non-zero slot must name a live block of the recovered allocator
+      with intact signature words, and the recovered stamp-per-slot
+      vector must match a durable prefix;
     - {!kv_batch}: the KV service's coalesced write path — each thread
       commits batches of sets plus its batch-marker key in one
       transaction, so a crash mid-batch must leave all of the batch or
@@ -37,10 +38,7 @@
       "durable sets are per-thread prefixes";
     - {!kv_incr}: a single shared counter bumped through
       [Kvserve.Store.incr]; the returned new-values make the dlin
-      search an exactly-once oracle;
-    - {!of_spec}: wraps any {!Workloads.Driver.spec} with a structural
-      (region-integrity only) oracle, so the paper's full workloads can
-      ride the @crashtest sweep.
+      search an exactly-once oracle.
 
     All scenarios derive their randomness from the instance seed, so a
     (scenario, seed) pair fully determines the workload.
@@ -58,17 +56,17 @@ val btree : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenari
 
 val mod_btree : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
 (** {!Pstructs.Mod_bptree} under a deterministic per-thread
-    insert/remove script.  The oracle runs {!Dlin.check} with
-    [`Buffered] durability when the recovered PTM uses the [Mod]
-    algorithm (the root swap's flush is unfenced, so a committed suffix
-    may be lost) and strict durability otherwise; the validate checks
-    snapshot consistency (each thread's recovered bindings are a script
-    prefix), a WPQ-lag bound on committed-but-lost ops, and phantom
-    freedom. *)
+    insert/remove script.  After a crash under the [Mod] algorithm the
+    oracle runs {!Dlin.check} with [`Buffered (threads + 2)]
+    durability: the root swap's flush is unfenced, so a committed
+    suffix may be lost, but no more than the write-pending-queue lag —
+    one unfenced flush per thread plus scheduling slack.  A run that
+    did not crash, and every run under another algorithm, is judged
+    strictly. *)
 
 val mod_hash : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
-(** {!Pstructs.Mod_phashtable} under the same script, oracle and
-    validates as {!mod_btree}. *)
+(** {!Pstructs.Mod_phashtable} under the same script and oracle as
+    {!mod_btree}. *)
 
 val alloc_churn : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
 
@@ -79,19 +77,15 @@ val kv_xshard : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.sce
 
 val kv_incr : ?threads:int -> ?ops:int -> ?coalesce:bool -> unit -> Engine.scenario
 
-val of_spec :
-  ?threads:int -> ?ops:int -> ?coalesce:bool -> Workloads.Driver.spec -> Engine.scenario
-
 val fams_bank :
   ?accounts:int -> ?ops:int -> ?sync_every:int -> unit -> Engine.fams_scenario
 (** The msync twin of {!bank}: a single mutator transfers between
     scattered one-word accounts in the FAMS working area (two pages, so
     line and page sweeps journal different unit sets) and calls
-    [msync_atomic] every [sync_every] operations.  The dlin oracle runs
-    with [`Buffered] durability; the validate additionally requires
-    conservation, and that the recovered op counter reaches the last
-    {e completed} sync (FAMS's durability point) and never exceeds the
-    last attempted op. *)
+    [msync_atomic] every [sync_every] operations.  After a crash the
+    dlin oracle runs with [`Buffered (completed - synced)] durability:
+    recovery restores the last {e completed} sync (FAMS's durability
+    point), so only operations completed after it may be lost. *)
 
 val fams_all : unit -> Engine.fams_scenario list
 

@@ -56,7 +56,7 @@ module History = struct
 
   let completed h =
     Array.fold_left
-      (fun acc l -> acc + List.length (List.filter (fun e -> e.returned < infinity) l))
+      (List.fold_left (fun acc e -> if e.returned < infinity then acc + 1 else acc))
       0 h.per_tid
 
   let pending h =
@@ -144,6 +144,15 @@ let check ?(max_nodes = default_max_nodes) ?(durability = `Strict) spec h ~recov
         if n > 0 && arr.(n - 1).returned = infinity then n - 1 else n)
       ops
   in
+  (* How many completed operations the cut may leave out: strict
+     durability loses none. *)
+  let may_lose =
+    match durability with
+    | `Strict -> 0
+    | `Buffered k ->
+      if k < 0 then invalid_arg "Dlin.check: negative buffered budget";
+      k
+  in
   let pos = Array.make nthreads 0 in
   let nodes = ref 0 and memo_hits = ref 0 in
   (* Sized on demand: most crash probes visit a handful of nodes, and
@@ -161,12 +170,13 @@ let check ?(max_nodes = default_max_nodes) ?(durability = `Strict) spec h ~recov
     Buffer.add_string b (string_of_int (spec.hash_state st));
     Buffer.contents b
   in
-  let goal () =
-    let ok = ref true in
+  (* Completed operations the current prefix leaves out. *)
+  let left_out () =
+    let n = ref 0 in
     for t = 0 to nthreads - 1 do
-      if pos.(t) < ncompleted.(t) then ok := false
+      n := !n + max 0 (ncompleted.(t) - pos.(t))
     done;
-    !ok
+    !n
   in
   (* [t]'s next operation may linearize now iff no other thread's next
      operation returned before it was invoked (deeper operations of a
@@ -203,27 +213,24 @@ let check ?(max_nodes = default_max_nodes) ?(durability = `Strict) spec h ~recov
   let rec dfs st =
     incr nodes;
     if !nodes > max_nodes then raise Budget;
-    (* Strict: the recovered state must be explained by a linearization
-       containing every completed operation — test only at the goal.
-       Buffered: the recovered state may be any real-time-closed cut of
-       a linearization (unflushed committed suffixes are lost at a
-       crash) — test at every node, and skip the leader rule: a
-       completed operation need not be in the cut, so forcing it first
-       could step over the matching prefix. *)
-    (match durability with
-    | `Strict -> if goal () && spec.equal_state st recovered then raise Found
-    | `Buffered -> if spec.equal_state st recovered then raise Found);
+    (* The recovered state may be any real-time-closed cut of a
+       linearization that leaves out at most [may_lose] completed
+       operations (unflushed committed suffixes are lost at a crash);
+       under strict durability that is the cut containing every
+       completed operation. *)
+    if left_out () <= may_lose && spec.equal_state st recovered then raise Found;
     let key = key_of st in
     let bucket = Option.value (Hashtbl.find_opt memo key) ~default:[] in
     if List.exists (fun s -> spec.equal_state st s) bucket then incr memo_hits
     else begin
       Hashtbl.replace memo key (st :: bucket);
       let avail = List.filter available all_tids in
+      (* A cut that may lose operations skips the leader rule: a completed
+         operation need not be in the cut, so forcing it first could
+         step over the matching prefix. *)
       let cands =
-        match durability with
-        | `Buffered -> avail
-        | `Strict ->
-          (match List.find_opt leader avail with Some t -> [ t ] | None -> avail)
+        if may_lose > 0 then avail
+        else match List.find_opt leader avail with Some t -> [ t ] | None -> avail
       in
       List.iter
         (fun t ->
@@ -247,7 +254,7 @@ let check ?(max_nodes = default_max_nodes) ?(durability = `Strict) spec h ~recov
       match durability with
       | `Strict ->
         "no durable linearization of the recorded history explains the recovered state"
-      | `Buffered ->
+      | `Buffered _ ->
         "no real-time-closed prefix of any linearization explains the recovered state \
          (buffered durability)"
     in

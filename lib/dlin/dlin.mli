@@ -105,7 +105,7 @@ val dump :
 
 val check :
   ?max_nodes:int ->
-  ?durability:[ `Strict | `Buffered ] ->
+  ?durability:[ `Strict | `Buffered of int ] ->
   ('st, 'op, 'res) spec ->
   ('op, 'res) History.t ->
   recovered:'st ->
@@ -120,16 +120,21 @@ val check :
     - [`Strict] — durable linearizability proper: the linearization must
       contain {e every} completed operation (commit became durable
       before the response returned).  Right for redo/undo, whose commit
-      fence precedes the return.
-    - [`Buffered] — buffered durable linearizability: the recovered
-      state may be any real-time-closed cut (per-thread prefixes,
-      closed under returned-before-invoked precedence, with each
-      included completed operation's replayed response matching the
-      recorded one).  Right for MOD structures, whose root swap is
-      published with an unfenced flush, so a committed suffix of the
-      serialized history can be lost at a crash.  The match is tested
-      at every search node and the commuting-leader rule is disabled —
-      a completed operation need not be in the cut, so bubbling it
-      first is unsound for prefix cuts.  Responses of operations
-      {e outside} the cut are not revalidated here; scenario validates
-      cover them. *)
+      fence precedes the return, and for every run that did not crash.
+    - [`Buffered k] — buffered durable linearizability with a bounded
+      lag: the recovered state may be any real-time-closed cut
+      (per-thread prefixes, closed under returned-before-invoked
+      precedence, with each included completed operation's replayed
+      response matching the recorded one) that leaves out at most [k]
+      completed operations.  Right for MOD structures, whose root swap
+      is published with an unfenced flush, so a short committed suffix
+      of the serialized history can be lost at a crash, and for FAMS,
+      whose durability point is the last completed sync.  For [k > 0]
+      the match is tested at every search node and the commuting-leader
+      rule is disabled — a completed operation need not be in the cut,
+      so bubbling it first is unsound for prefix cuts.  [`Buffered 0]
+      is exactly [`Strict]: same verdict, same search.  Responses of
+      completed operations {e outside} the cut are not checked: the
+      search explains the recovered state, not the run before the
+      crash.
+      @raise Invalid_argument when [k] is negative. *)

@@ -254,25 +254,33 @@ let test_recovery_convergence ?(model = Config.optane_adr) algorithm () =
 
 (* ---------- determinism ---------- *)
 
-let run_reference_once () =
-  let scenario = Scenarios.bank () in
+(* A PTM scenario prepared on a fresh ADR machine under [algorithm],
+   with a fresh instance whose workers ran to completion when [run]
+   (and never started otherwise). *)
+let ptm_instance ?(seed = seed) ~algorithm ~run (sc : Engine.scenario) =
   let cfg =
-    Config.make ~nvm_channels:4 ~heap_words:scenario.Engine.heap_words ~track_media:true
+    Config.make ~nvm_channels:4 ~heap_words:sc.Engine.heap_words ~track_media:true
       Config.optane_adr
   in
   let sim = Sim.create cfg in
-  let m = Sim.machine sim in
   let ptm =
-    Ptm.create ~algorithm:Ptm.Redo ~max_threads:scenario.Engine.threads
-      ~log_words_per_thread:scenario.Engine.log_words_per_thread m
+    Ptm.create ~algorithm ~coalesce:sc.Engine.coalesce ~max_threads:sc.Engine.threads
+      ~log_words_per_thread:sc.Engine.log_words_per_thread (Sim.machine sim)
   in
-  scenario.Engine.prepare ptm;
-  let inst = scenario.Engine.fresh ~seed:42 in
-  for tid = 0 to scenario.Engine.threads - 1 do
-    ignore (Sim.spawn sim (fun () -> inst.Engine.worker ~tid ptm) : int)
-  done;
-  Sim.run sim;
-  let heap = Array.init scenario.Engine.heap_words m.Machine.raw_read in
+  sc.Engine.prepare ptm;
+  let inst = sc.Engine.fresh ~seed in
+  if run then begin
+    for tid = 0 to sc.Engine.threads - 1 do
+      ignore (Sim.spawn sim (fun () -> inst.Engine.worker ~tid ptm) : int)
+    done;
+    Sim.run sim
+  end;
+  (sim, ptm, inst)
+
+let run_reference_once () =
+  let scenario = Scenarios.bank () in
+  let sim, ptm, _ = ptm_instance ~seed:42 ~algorithm:Ptm.Redo ~run:true scenario in
+  let heap = Array.init scenario.Engine.heap_words (Sim.machine sim).Machine.raw_read in
   (Sim.now sim, Sim.Stats.get sim, Ptm.Stats.get ptm, heap)
 
 let test_determinism () =
@@ -282,6 +290,94 @@ let test_determinism () =
   Helpers.check_bool "sim stats bit-identical" true (s1 = s2);
   Helpers.check_bool "ptm stats bit-identical" true (p1 = p2);
   Helpers.check_bool "final heap bit-identical" true (h1 = h2)
+
+(* ---------- the oracle's own rules, pinned on hand-made states ---------- *)
+
+(* Each case judges an instance's history against a machine whose state
+   the oracle must reject, although a search over every real-time-closed
+   cut alone would accept it.  [judge inst ~crashed sim api] is the
+   instance's one verdict. *)
+let judge (inst : _ Engine.instance) ~crashed sim api =
+  Result.map_error
+    (fun f -> f.Engine.fail_reason)
+    ((Option.get inst.Engine.oracle) ~crashed sim api)
+
+let check_verdict what ok verdict =
+  Helpers.check_bool
+    (Printf.sprintf "%s (%s)" what
+       (match verdict with Ok () -> "accepted" | Error e -> "rejected: " ^ e))
+    ok (Result.is_ok verdict)
+
+(* MOD after a crash may lose at most threads + 2 completed operations.
+   One thread, so the budget is 3: the untouched structure is judged
+   against a finished run of 3 operations, then of 4. *)
+let test_mod_lag_budget () =
+  List.iter
+    (fun (ops, ok) ->
+      let sc = Scenarios.mod_btree ~threads:1 ~ops () in
+      let _, _, inst = ptm_instance ~algorithm:Ptm.Mod ~run:true sc in
+      let sim, ptm, _ = ptm_instance ~algorithm:Ptm.Mod ~run:false sc in
+      check_verdict
+        (Printf.sprintf "mod-btree losing all %d completed ops (budget 3)" ops)
+        ok
+        (judge inst ~crashed:true sim ptm))
+    [ (3, true); (4, false) ]
+
+(* A run that did not crash must retain every completed operation, even
+   under MOD's buffered criterion. *)
+let test_mod_clean_run_complete () =
+  let sc = Scenarios.mod_btree () in
+  let done_sim, done_ptm, inst = ptm_instance ~algorithm:Ptm.Mod ~run:true sc in
+  check_verdict "mod-btree clean run, finished structure" true
+    (judge inst ~crashed:false done_sim done_ptm);
+  let sim, ptm, _ = ptm_instance ~algorithm:Ptm.Mod ~run:false sc in
+  check_verdict "mod-btree clean run, structure stopped short" false
+    (judge inst ~crashed:false sim ptm)
+
+(* FAMS recovery restores the last completed sync: 12 operations synced
+   at 8, judged against working areas that stopped after 8 and after 7
+   (runs of the same seed, so the same transfers). *)
+let test_fams_completed_sync () =
+  let fams_run ops =
+    let sc = Scenarios.fams_bank ~ops ~sync_every:8 () in
+    let cfg =
+      Config.make ~nvm_channels:4
+        ~heap_words:(Fams.required_heap_words ~words:sc.Engine.f_words)
+        ~track_media:true Config.optane_adr
+    in
+    let sim = Sim.create cfg in
+    let fams = Fams.create ~granularity:Fams.Line ~words:sc.Engine.f_words sim in
+    sc.Engine.f_prepare fams;
+    Fams.checkpoint_raw fams;
+    let inst = sc.Engine.f_fresh ~seed in
+    ignore (Sim.spawn sim (fun () -> inst.Engine.worker ~tid:0 fams) : int);
+    Sim.run sim;
+    (sim, fams, inst)
+  in
+  let _, _, inst = fams_run 12 in
+  List.iter
+    (fun (ops, ok) ->
+      let sim, fams, _ = fams_run ops in
+      check_verdict (Printf.sprintf "fams-bank at op %d, last sync at 8" ops) ok
+        (judge inst ~crashed:true sim fams))
+    [ (8, true); (7, false) ]
+
+(* A directory slot must name a block the allocator holds live: free
+   one slot's block behind the directory's back, leaving its stamp and
+   signature words in place. *)
+let test_alloc_slot_names_live_block () =
+  let ops = 10 in
+  let sc = Scenarios.alloc_churn ~ops () in
+  let sim, ptm, inst = ptm_instance ~algorithm:Ptm.Redo ~run:true sc in
+  check_verdict "alloc finished run" true (judge inst ~crashed:false sim ptm);
+  let dir = Ptm.root_get ptm 0 in
+  let slot =
+    List.find
+      (fun i -> (Sim.machine sim).Machine.raw_read (dir + i) <> 0)
+      (List.init (sc.Engine.threads * ops) Fun.id)
+  in
+  Ptm.atomic ptm (fun tx -> Ptm.free tx (Ptm.read tx (dir + slot)));
+  check_verdict "alloc slot naming a freed block" false (judge inst ~crashed:false sim ptm)
 
 (* ---------- crash-leaked arenas are warnings, not corruption ---------- *)
 
@@ -327,15 +423,17 @@ let test_crash_leak_is_warning () =
 
 (* Host cost of one crash cell is dominated by what each probe
    allocates.  Word counts are host-stable, so a fixed bound is a fair
-   tier-1 gate: one [run_point] (prepare, image reload, crashed run,
-   reboot, recovery, oracles) on bank/optane-adr/redo must stay well
+   tier-1 gate: one [Engine.rerun] (prepare, image reload, crashed run,
+   reboot, recovery, oracle) on bank/optane-adr/redo must stay well
    below the ~3.2 M words it costs when every machine zeroes a flat
    8.4 MB metadata table. *)
 let alloc_bound_words = 400_000.
 
+(* [Gc.minor_words] is exact; the minor field of [Gc.counters] drifts
+   with the minor heap's state on OCaml 5. *)
 let allocated_words () =
-  let minor, promoted, major = Gc.counters () in
-  minor +. major -. promoted
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let test_run_point_alloc () =
   let scenario = Scenarios.bank () in
@@ -343,11 +441,11 @@ let test_run_point_alloc () =
   let probe = Engine.explore ~points:1 ~seed ~model ~algorithm scenario in
   let crash_at = max 1 (probe.Engine.final_time / 2) in
   let before = allocated_words () in
-  let result = Engine.run_point ~model ~algorithm ~seed ~crash_at scenario in
+  let result = Engine.rerun ~model ~seed ~crash_at (Engine.Subject.ptm ~algorithm scenario) in
   let words = allocated_words () -. before in
   Helpers.check_bool "probe passes the oracles" true (Result.is_ok result);
   Helpers.check_bool
-    (Printf.sprintf "run_point allocated %.0f words (bound %.0f)" words alloc_bound_words)
+    (Printf.sprintf "rerun allocated %.0f words (bound %.0f)" words alloc_bound_words)
     true (words < alloc_bound_words)
 
 (* Single-pass probing: one workload run for all instants instead of
@@ -452,6 +550,14 @@ let suite =
         (test_recovery_convergence ~model:Config.transient_cache Ptm.Redo);
       Alcotest.test_case "same config+seed is bit-identical" `Quick test_determinism;
       Alcotest.test_case "crash-leaked arena is a warning" `Quick test_crash_leak_is_warning;
+      Alcotest.test_case "oracle: MOD lag over threads + 2 is rejected" `Quick
+        test_mod_lag_budget;
+      Alcotest.test_case "oracle: MOD clean run that stopped short is rejected" `Quick
+        test_mod_clean_run_complete;
+      Alcotest.test_case "oracle: FAMS state below the last completed sync is rejected"
+        `Quick test_fams_completed_sync;
+      Alcotest.test_case "oracle: alloc slot naming a freed block is rejected" `Quick
+        test_alloc_slot_names_live_block;
       Alcotest.test_case "run_point allocation bound (bank/adr/redo)" `Quick
         test_run_point_alloc;
       Alcotest.test_case "explore allocation bound per probe (bank/adr/redo)" `Quick

@@ -160,7 +160,7 @@ let test_buffered_accepts_cuts () =
     h
   in
   List.iter
-    (fun recovered -> ok_exn (Dlin.check ~durability:`Buffered s (mk ()) ~recovered))
+    (fun recovered -> ok_exn (Dlin.check ~durability:(`Buffered max_int) s (mk ()) ~recovered))
     [ [| 0; 0 |]; [| 5; 0 |]; [| 0; 7 |]; [| 5; 7 |] ];
   ignore (reject_exn (Dlin.check s (mk ()) ~recovered:[| 5; 0 |]) : Dlin.counterexample)
 
@@ -171,8 +171,8 @@ let test_buffered_respects_real_time () =
   let h = Dlin.History.create ~threads:2 in
   completed h ~tid:0 ~at:0. { tid = 0; reg = 0; delta = 5 } 5;
   completed h ~tid:1 ~at:5. { tid = 1; reg = 1; delta = 7 } 7;
-  ok_exn (Dlin.check ~durability:`Buffered s h ~recovered:[| 5; 0 |]);
-  let c = reject_exn (Dlin.check ~durability:`Buffered s h ~recovered:[| 0; 7 |]) in
+  ok_exn (Dlin.check ~durability:(`Buffered max_int) s h ~recovered:[| 5; 0 |]);
+  let c = reject_exn (Dlin.check ~durability:(`Buffered max_int) s h ~recovered:[| 0; 7 |]) in
   Helpers.check_bool "reason names the buffered criterion" true
     (String.length c.Dlin.reason > 0)
 
@@ -183,9 +183,9 @@ let test_buffered_checks_responses () =
   let h = Dlin.History.create ~threads:1 in
   completed h ~tid:0 ~at:0. { tid = 0; reg = 0; delta = 5 } 5;
   completed h ~tid:0 ~at:2. { tid = 0; reg = 0; delta = 5 } 11 (* really 10 *);
-  ok_exn (Dlin.check ~durability:`Buffered s h ~recovered:[| 5 |]);
+  ok_exn (Dlin.check ~durability:(`Buffered max_int) s h ~recovered:[| 5 |]);
   ignore
-    (reject_exn (Dlin.check ~durability:`Buffered s h ~recovered:[| 10 |])
+    (reject_exn (Dlin.check ~durability:(`Buffered max_int) s h ~recovered:[| 10 |])
       : Dlin.counterexample)
 
 (* A state no cut reaches is still torn under the weaker criterion. *)
@@ -194,8 +194,26 @@ let test_buffered_rejects_unreachable () =
   let h = Dlin.History.create ~threads:1 in
   completed h ~tid:0 ~at:0. { tid = 0; reg = 0; delta = 5 } 5;
   ignore
-    (reject_exn (Dlin.check ~durability:`Buffered s h ~recovered:[| 3; 0 |])
+    (reject_exn (Dlin.check ~durability:(`Buffered max_int) s h ~recovered:[| 3; 0 |])
       : Dlin.counterexample)
+
+(* [`Buffered k] bounds the lag: a cut may leave out up to [k]
+   completed operations, and not one more. *)
+let test_buffered_budget () =
+  let s = spec ~regs:1 in
+  let h = Dlin.History.create ~threads:1 in
+  for i = 1 to 4 do
+    completed h ~tid:0 ~at:(float_of_int (10 * i)) { tid = 0; reg = 0; delta = 1 } i
+  done;
+  for k = 0 to 3 do
+    ok_exn (Dlin.check ~durability:(`Buffered k) s h ~recovered:[| 4 - k |]);
+    ignore
+      (reject_exn (Dlin.check ~durability:(`Buffered k) s h ~recovered:[| 3 - k |])
+        : Dlin.counterexample)
+  done;
+  match Dlin.check ~durability:(`Buffered (-1)) s h ~recovered:[| 4 |] with
+  | _ -> Alcotest.fail "a negative budget was accepted"
+  | exception Invalid_argument _ -> ()
 
 let test_dump_format () =
   let s = spec ~regs:1 in
@@ -278,91 +296,70 @@ let fuzz_gen =
   let* unreturn = array_size (return threads) bool in
   return { regs; per_thread; order; cut; unreturn }
 
-let fuzz_prop { regs; per_thread; order; cut; unreturn } =
+(* Record the legal execution [case] describes: the first [cut]
+   processing steps linearize durably (invoked at the thread's ready
+   time, so ops of different threads overlap, then returned); with
+   [pending], each thread's next unexecuted op is invoked and pending at
+   the crash.  Returns the spec, the history and the shadow state after
+   every durable step, newest first (the last is the initial state). *)
+let record ~pending { regs; per_thread; order; cut; unreturn = _ } =
   let threads = Array.length per_thread in
   let s = spec ~regs in
   let h = Dlin.History.create ~threads in
-  let shadow = ref s.Dlin.init in
+  let states = ref [ s.Dlin.init ] in
   let queues = Array.map (fun l -> ref l) per_thread in
   let clock = ref 0. in
   let ready = Array.make threads 0. in
-  let last_processed = Array.make threads false in
+  let executed = Array.make threads 0 in
   List.iteri
     (fun step tid ->
       match !(queues.(tid)) with
       | [] -> assert false
       | op :: rest ->
         queues.(tid) := rest;
-        (* Ops at or past the cut never execute; the per-thread pending
-           invocations are reconstructed below. *)
         if step < cut then begin
-          (* Durable: invoke at the thread's ready time (so ops of
-             different threads overlap), linearize, return. *)
           Dlin.History.invoke h ~tid ~at_ns:ready.(tid) op;
-          let st', res = s.Dlin.apply !shadow op in
-          shadow := st';
+          let st', res = s.Dlin.apply (List.hd !states) op in
+          states := st' :: !states;
           clock := !clock +. 1.;
           Dlin.History.return h ~tid ~at_ns:!clock res;
           ready.(tid) <- !clock;
-          last_processed.(tid) <- rest = []
+          executed.(tid) <- executed.(tid) + 1
         end)
     order;
-  (* Each thread's next unexecuted op (if any) was invoked and is
-     pending at the crash. *)
-  let executed = Array.make threads 0 in
-  List.iteri (fun step tid -> if step < cut then executed.(tid) <- executed.(tid) + 1) order;
-  Array.iteri
-    (fun tid ops ->
-      if executed.(tid) < List.length ops then
-        Dlin.History.invoke h ~tid ~at_ns:ready.(tid) (List.nth ops executed.(tid)))
-    per_thread;
-  (* Committed-but-never-returned window: only legal for a thread whose
-     history ends in a returned op (no pending next op). *)
-  (* Not directly expressible through the public API once returns are
-     recorded, so it is exercised by the pending-both-ways unit test
-     instead; [unreturn] still varies the generator's seed space. *)
-  ignore (unreturn : bool array);
-  ignore (last_processed : bool array);
-  match Dlin.check s h ~recovered:!shadow with
+  if pending then
+    Array.iteri
+      (fun tid ops ->
+        if executed.(tid) < List.length ops then
+          Dlin.History.invoke h ~tid ~at_ns:ready.(tid) (List.nth ops executed.(tid)))
+      per_thread;
+  (s, h, !states)
+
+(* The checker must accept the recovered shadow state.  The
+   committed-but-never-returned window is not expressible through the
+   public API once returns are recorded, so it is exercised by the
+   pending-both-ways unit test instead; [unreturn] only varies the
+   generator's seed space. *)
+let fuzz_prop case =
+  let s, h, states = record ~pending:true case in
+  match Dlin.check s h ~recovered:(List.hd states) with
   | Ok (_ : Dlin.stats) -> true
   | Error c ->
     QCheck2.Test.fail_reportf "sound history rejected: %s@.%s" c.Dlin.reason c.Dlin.jsonl
 
 (* Unsound twist: corrupt one register with a value outside every
    subset's reach; the checker must reject. *)
-let fuzz_neg_prop { regs; per_thread; order; cut; unreturn = _ } =
-  let threads = Array.length per_thread in
-  let total = List.length order in
-  if total = 0 then true
+let fuzz_neg_prop case =
+  if case.order = [] then true
   else begin
-    let s = spec ~regs in
-    let h = Dlin.History.create ~threads in
-    let shadow = ref s.Dlin.init in
-    let queues = Array.map (fun l -> ref l) per_thread in
-    let clock = ref 0. in
-    let ready = Array.make threads 0. in
-    List.iteri
-      (fun step tid ->
-        match !(queues.(tid)) with
-        | [] -> assert false
-        | op :: rest ->
-          queues.(tid) := rest;
-          if step < cut then begin
-            Dlin.History.invoke h ~tid ~at_ns:ready.(tid) op;
-            let st', res = s.Dlin.apply !shadow op in
-            shadow := st';
-            clock := !clock +. 1.;
-            Dlin.History.return h ~tid ~at_ns:!clock res;
-            ready.(tid) <- !clock
-          end)
-      order;
+    let s, h, states = record ~pending:false case in
     (* A register value bigger than the sum of every delta is reachable
        by no linearization of any subset. *)
-    let poisoned = Array.copy !shadow in
+    let poisoned = Array.copy (List.hd states) in
     let bound =
       Array.fold_left
         (fun acc ops -> List.fold_left (fun a o -> a + o.delta) acc ops)
-        1 per_thread
+        1 case.per_thread
     in
     poisoned.(0) <- poisoned.(0) + bound;
     match Dlin.check s h ~recovered:poisoned with
@@ -370,10 +367,22 @@ let fuzz_neg_prop { regs; per_thread; order; cut; unreturn = _ } =
     | Error (_ : Dlin.counterexample) -> true
   end
 
+(* A zero lag budget is strict durability: over every state the
+   execution passed through (each a cut that loses a suffix), both
+   criteria reach the same verdict. *)
+let buffered_zero_prop case =
+  let s, h, states = record ~pending:true case in
+  List.for_all
+    (fun recovered ->
+      let strict = Result.is_ok (Dlin.check s h ~recovered) in
+      strict = Result.is_ok (Dlin.check ~durability:(`Buffered 0) s h ~recovered)
+      || QCheck2.Test.fail_reportf "strict says %b, `Buffered 0 disagrees" strict)
+    states
+
 (* ---------- the real thing: PTM crash points satisfy the oracle ---------- *)
 
 (* A seeded sprinkle of single crash points across scenarios, models
-   and algorithms; [Engine.run_point] runs the dlin oracle on the
+   and algorithms; [Engine.rerun] runs the dlin oracle on the
    recovered state.  The broad sweeps live in test_crashtest and
    @crashtest; this is the quick soundness probe for the checker
    itself. *)
@@ -391,7 +400,9 @@ let test_ptm_points () =
       List.iter
         (fun k ->
           let crash_at = t0 * k in
-          match Engine.run_point ~model ~algorithm ~seed:(3 + k) ~crash_at scenario with
+          match
+            Engine.rerun ~model ~seed:(3 + k) ~crash_at (Engine.Subject.ptm ~algorithm scenario)
+          with
           | Ok () -> ()
           | Error e ->
             Alcotest.fail
@@ -424,9 +435,12 @@ let suite =
       test_buffered_checks_responses;
     Alcotest.test_case "buffered mode rejects unreachable states" `Quick
       test_buffered_rejects_unreachable;
+    Alcotest.test_case "buffered mode loses at most its budget" `Quick test_buffered_budget;
     Alcotest.test_case "counterexample dump is replayable jsonl" `Quick test_dump_format;
     Helpers.qtest ~count:300 "fuzz: legal crash executions are accepted" fuzz_gen fuzz_prop;
     Helpers.qtest ~count:150 "fuzz: unreachable recovered states are rejected" fuzz_gen
       fuzz_neg_prop;
+    Helpers.qtest ~count:300 "fuzz: a zero buffered budget judges as strict" fuzz_gen
+      buffered_zero_prop;
     Alcotest.test_case "PTM crash points satisfy the oracle" `Slow test_ptm_points;
   ]
