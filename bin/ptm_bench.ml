@@ -161,9 +161,7 @@ let print_phase_table (p : Pstm.Profile.t) =
       end)
     Pstm.Profile.all_phases;
   Format.printf "%a" Repro_util.Table.print t;
-  let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 tids in
-  let fences_saved = sum (Pstm.Profile.fences_saved p) in
-  let flushes_saved = sum (Pstm.Profile.flushes_saved p) in
+  let { Pstm.Profile.fences_saved; flushes_saved; _ } = Pstm.Profile.totals p in
   if fences_saved > 0 || flushes_saved > 0 then
     Format.printf "coalescing : saved %d fences, %d clwbs vs the naive per-entry path@."
       fences_saved flushes_saved
@@ -248,7 +246,6 @@ let write_csv ctx name (t : Table.t) =
   match ctx.csv_dir with
   | None -> ()
   | Some dir ->
-    (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
     let path = Filename.concat dir (name ^ ".csv") in
     let oc = open_out path in
     output_string oc (Table.to_csv t);
@@ -445,8 +442,7 @@ let telemetry ctx =
               ])
         Pstm.Profile.all_phases;
       Format.printf "%a" Table.print table;
-      let fences_saved = sum (Pstm.Profile.fences_saved p) in
-      let flushes_saved = sum (Pstm.Profile.flushes_saved p) in
+      let { Pstm.Profile.fences_saved; flushes_saved; _ } = Pstm.Profile.totals p in
       if fences_saved > 0 || flushes_saved > 0 then
         Format.printf "  (coalescing saved %d fences, %d clwbs vs the naive per-entry path)@."
           fences_saved flushes_saved;
@@ -584,6 +580,9 @@ let experiment_cmd =
   in
   let exp names quick jobs csv_dir json =
     let ctx = { quick; jobs; csv_dir; json } in
+    (* Create the output directory before the first experiment runs, so
+       a bad path fails before the sweep rather than after it. *)
+    Option.iter Telemetry.mkdir_p csv_dir;
     List.iter
       (fun name ->
         let runs = if name = "all" then in_all else [ (name, List.assoc name registry) ] in

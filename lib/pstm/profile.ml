@@ -363,3 +363,24 @@ let spans_from t mark =
 
 let spans t = spans_from t 0
 let spans_since t mark = spans_from t mark
+
+type totals = {
+  commits : int;
+  fences : int;
+  flushes : int;
+  fences_saved : int;
+  flushes_saved : int;
+}
+
+let totals t =
+  let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 (tids t) in
+  let over_phases f =
+    sum (fun ~tid -> List.fold_left (fun acc ph -> acc + f t ~tid ph) 0 all_phases)
+  in
+  {
+    commits = sum (commits t);
+    fences = over_phases phase_fences;
+    flushes = over_phases phase_flushes;
+    fences_saved = sum (fences_saved t);
+    flushes_saved = sum (flushes_saved t);
+  }

@@ -113,6 +113,18 @@ val flushes_saved : t -> tid:int -> int
 
 val txn_hist : t -> tid:int -> Repro_util.Histogram.t
 
+(** Run-wide sums over every thread; [fences] and [flushes] also sum
+    over {!all_phases}. *)
+type totals = {
+  commits : int;
+  fences : int;
+  flushes : int;
+  fences_saved : int;
+  flushes_saved : int;
+}
+
+val totals : t -> totals
+
 val merged_phase_hist : t -> phase -> Repro_util.Histogram.t
 (** All threads' slice histograms for [phase], merged. *)
 

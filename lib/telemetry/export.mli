@@ -37,4 +37,3 @@ val chrome_trace :
     With [request_trace], whole-request spans (and the PTM phase slices
     nested under their commits) are appended on a second process. *)
 
-val json_escape : string -> string

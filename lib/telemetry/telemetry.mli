@@ -66,6 +66,10 @@ val files : Export.run_meta -> capture -> (string * string) list
 (** [(filename, content)] for the three standard artifacts:
     [profile.jsonl], [series.csv], [trace.json]. *)
 
+val mkdir_p : string -> unit
+(** Create [dir] and any missing parents; an existing directory is left
+    as it is.  Raises [Sys_error] when a directory cannot be created. *)
+
 val dump : dir:string -> Export.run_meta -> capture -> string list
-(** Write {!files} under [dir] (created if missing); returns the paths
-    written, in a fixed order. *)
+(** Write {!files} under [dir] (created with {!mkdir_p}); returns the
+    paths written, in a fixed order. *)

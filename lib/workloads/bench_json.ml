@@ -7,21 +7,6 @@ type json =
   | List of json list
   | Obj of (string * json) list
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let rec emit b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
@@ -31,7 +16,7 @@ let rec emit b = function
     else Buffer.add_string b "null"
   | String s ->
     Buffer.add_char b '"';
-    Buffer.add_string b (escape s);
+    Buffer.add_string b (Repro_util.Json.escape s);
     Buffer.add_char b '"'
   | List items ->
     Buffer.add_char b '[';
@@ -396,7 +381,6 @@ let regress ?(tolerance_pct = 5.0) ?(include_wall = false) ~baseline ~current ()
   List.rev !findings
 
 let write ?(dir = ".") ~experiment ~quick ~jobs ~wall_s ?extra results =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let path = Filename.concat dir (Printf.sprintf "BENCH_%s.json" experiment) in
   let oc = open_out path in
   Fun.protect

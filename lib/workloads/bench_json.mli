@@ -51,8 +51,8 @@ val write :
   Driver.result list ->
   string
 (** Serialise {!outcome_json} to [<dir>/BENCH_<experiment>.json]
-    ([dir] defaults to the current directory, and is created if
-    missing); returns the path written. *)
+    ([dir], which must exist, defaults to the current directory);
+    returns the path written. *)
 
 (** {1 Parsing} *)
 

@@ -13,21 +13,44 @@ let threads_axis = [ 1; 2; 4; 8; 16; 32 ]
 
 let duration quick = if quick then 500_000 else 3_000_000
 
-(* Every grid experiment is two-phase: phase 1 enumerates its cells —
-   independent, deterministic [Driver.run] closures — in submission
-   order; the domain pool executes them with up to [jobs] workers;
-   phase 2 replays the same iteration structure, consuming pooled
-   results through a cursor to build the tables.  Because the pool
-   returns results in submission order, the output is byte-identical
-   to a serial run regardless of [jobs]. *)
-let dispatch ?jobs cells =
-  let results = ref (Pool.run ?jobs cells) in
-  fun () ->
-    match !results with
-    | [] -> invalid_arg "Experiments: cell cursor exhausted"
-    | r :: rest ->
-      results := rest;
-      r
+(* [xs] cut into one run of [n] consecutive items per element of [keys]. *)
+let regroup keys n xs =
+  let a = Array.of_list xs in
+  List.mapi (fun i _ -> Array.to_list (Array.sub a (i * n) n)) keys
+
+(* Every grid experiment names its axes once: [grid rows cols cell]
+   runs [cell r c] for every row x column — independent, deterministic
+   simulation cells — as one batch on the domain pool, and returns the
+   results row by row in the order given.  The pool reassembles results
+   in submission order, so [List.concat] of the rows is the serial
+   order and every table is byte-identical whatever [jobs] is. *)
+let grid ?jobs rows cols cell =
+  regroup rows (List.length cols)
+    (Pool.run ?jobs (List.concat_map (fun r -> List.map (fun c () -> cell r c) cols) rows))
+
+let table ~title ~header rows =
+  let t = Table.create ~title ~header in
+  List.iter (Table.add_row t) rows;
+  t
+
+let mtx_per_sec r = Table.cell_f (r.Driver.txs_per_sec /. 1e6)
+
+(* An A/B row's second run relative to its first, in percent. *)
+let gain_pct = function
+  | [ a; b ] -> 100.0 *. ((b.Driver.txs_per_sec /. a.Driver.txs_per_sec) -. 1.0)
+  | _ -> invalid_arg "Experiments.gain_pct: not an A/B pair"
+
+(* Fences and clwbs per commit, actual then saved by coalescing, from a
+   run's passive profile: the last four columns of an economy table. *)
+let economy_cells r =
+  match r.Driver.telemetry with
+  | None -> invalid_arg "Experiments.economy_cells: a run without telemetry"
+  | Some cap ->
+    let t = Pstm.Profile.totals (Telemetry.profile cap) in
+    let per x = Table.cell_f (float_of_int x /. float_of_int (max 1 t.Pstm.Profile.commits)) in
+    [ per t.fences; per t.flushes; per t.fences_saved; per t.flushes_saved ]
+
+let passive = { Telemetry.default_config with Telemetry.sample_interval_ns = 0 }
 
 (* The eight Fig 3/4 series: placement x durability x logging. *)
 let fig3_series =
@@ -65,43 +88,22 @@ let main_panels () =
 (* One throughput-vs-threads table per workload panel. *)
 let sweep ?jobs ~quick ~title ~series specs =
   let dur = duration quick in
-  let cells =
-    List.concat_map
-      (fun spec ->
-        List.concat_map
-          (fun (_, model, algorithm) ->
-            List.map
-              (fun threads () -> Driver.run ~duration_ns:dur ~model ~algorithm ~threads spec)
-              threads_axis)
-          series)
-      specs
+  let rows = List.concat_map (fun spec -> List.map (fun s -> (spec, s)) series) specs in
+  let results =
+    grid ?jobs rows threads_axis (fun (spec, (_, model, algorithm)) threads ->
+        Driver.run ~duration_ns:dur ~model ~algorithm ~threads spec)
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
   let tables =
-    List.map
-      (fun spec ->
-        let t =
-          Table.create
-            ~title:(Printf.sprintf "%s — %s (M tx/s by thread count)" title spec.Driver.name)
-            ~header:("series" :: List.map string_of_int threads_axis)
-        in
-        List.iter
-          (fun (label, _, _) ->
-            let cells =
-              List.map
-                (fun _threads ->
-                  let r = next () in
-                  all_results := r :: !all_results;
-                  Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-                threads_axis
-            in
-            Table.add_row t (label :: cells))
-          series;
-        t)
+    List.map2
+      (fun spec panel ->
+        table
+          ~title:(Printf.sprintf "%s — %s (M tx/s by thread count)" title spec.Driver.name)
+          ~header:("series" :: List.map string_of_int threads_axis)
+          (List.map2 (fun (label, _, _) row -> label :: List.map mtx_per_sec row) series panel))
       specs
+      (regroup specs (List.length series) results)
   in
-  { tables; results = List.rev !all_results; extra = [] }
+  { tables; results = List.concat results; extra = [] }
 
 let fig3 ?(quick = false) ?jobs () =
   sweep ?jobs ~quick ~title:"Fig 3" ~series:fig3_series (main_panels ())
@@ -127,37 +129,21 @@ let ratio_table ?jobs ~quick ~title algorithm =
     ]
   in
   let threads = List.filter (fun n -> n > 1) threads_axis in
+  let results =
+    grid ?jobs rows threads (fun (_, model) n ->
+        Driver.run ~duration_ns:dur ~model ~algorithm ~threads:n (Tpcc.spec Tpcc.Hash))
+  in
   let t =
-    Table.create
+    table
       ~title:(Printf.sprintf "%s — commits per abort, TPCC (hash), %s" title
                 (Ptm.algorithm_name algorithm))
       ~header:("config" :: List.map string_of_int threads)
+      (List.map2
+         (fun (label, _) row ->
+           label :: List.map (fun r -> Table.cell_f r.Driver.commits_per_abort) row)
+         rows results)
   in
-  let cells =
-    List.concat_map
-      (fun (_, model) ->
-        List.map
-          (fun n () ->
-            Driver.run ~duration_ns:dur ~model ~algorithm ~threads:n (Tpcc.spec Tpcc.Hash))
-          threads)
-      rows
-  in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun (label, _) ->
-      let cells =
-        List.map
-          (fun _n ->
-            let r = next () in
-            all_results := r :: !all_results;
-            if r.Driver.commits_per_abort = infinity then "-"
-            else Table.cell_f r.Driver.commits_per_abort)
-          threads
-      in
-      Table.add_row t (label :: cells))
-    rows;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  { tables = [ t ]; results = List.concat results; extra = [] }
 
 let table1 ?(quick = false) ?jobs () = ratio_table ?jobs ~quick ~title:"Table I" Ptm.Redo
 
@@ -173,42 +159,25 @@ let table3 ?(quick = false) ?jobs () =
   let specs =
     [ Tpcc.spec Tpcc.Hash; Tatp.spec; Vacation.spec Vacation.Low; Vacation.spec Vacation.High ]
   in
+  let algorithms = [ Ptm.Undo; Ptm.Redo ] in
+  let cols =
+    List.concat_map (fun spec -> [ (spec, Config.optane_adr); (spec, Config.optane_adr_nofence) ])
+      specs
+  in
+  let results =
+    grid ?jobs algorithms cols (fun algorithm (spec, model) ->
+        Driver.run ~duration_ns:dur ~model ~algorithm ~threads:4 spec)
+  in
   let t =
-    Table.create ~title:"Table III — speedup from removing fences (ADR, 4 threads)"
+    table ~title:"Table III — speedup from removing fences (ADR, 4 threads)"
       ~header:("logging" :: List.map (fun s -> s.Driver.name) specs)
+      (List.map2
+         (fun algorithm row ->
+           Ptm.algorithm_name algorithm
+           :: List.map (fun ab -> Printf.sprintf "%+.0f%%" (gain_pct ab)) (regroup specs 2 row))
+         algorithms results)
   in
-  let cells =
-    List.concat_map
-      (fun algorithm ->
-        List.concat_map
-          (fun spec ->
-            [
-              (fun () ->
-                Driver.run ~duration_ns:dur ~model:Config.optane_adr ~algorithm ~threads:4 spec);
-              (fun () ->
-                Driver.run ~duration_ns:dur ~model:Config.optane_adr_nofence ~algorithm
-                  ~threads:4 spec);
-            ])
-          specs)
-      [ Ptm.Undo; Ptm.Redo ]
-  in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun algorithm ->
-      let cells =
-        List.map
-          (fun _spec ->
-            let base = next () in
-            let nofence = next () in
-            all_results := nofence :: base :: !all_results;
-            let pct = 100.0 *. ((nofence.Driver.txs_per_sec /. base.Driver.txs_per_sec) -. 1.0) in
-            Printf.sprintf "%+.0f%%" pct)
-          specs
-      in
-      Table.add_row t (Ptm.algorithm_name algorithm :: cells))
-    [ Ptm.Undo; Ptm.Redo ];
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  { tables = [ t ]; results = List.concat results; extra = [] }
 
 let fig6 ?(quick = false) ?jobs () =
   sweep ?jobs ~quick ~title:"Fig 6" ~series:fig6_series (main_panels ())
@@ -246,54 +215,31 @@ let fig8 ?(quick = false) ?jobs () =
   let sizes = if quick then [ List.nth fig8_sizes 0; List.nth fig8_sizes 1 ] else fig8_sizes in
   let dram_capacity = 96 * 1024 * 1024 in
   (* The paper cannot run the DRAM baseline beyond DRAM; those cells
-     render "n/a" and are never staged. *)
-  let feasible (model : Config.model) bytes =
-    not (model.Config.data_media = Config.Dram && bytes > dram_capacity)
+     run nothing and render "n/a". *)
+  let results =
+    grid ?jobs fig8_series sizes (fun (_, (model : Config.model), algorithm) (_, bytes) ->
+        if model.Config.data_media = Config.Dram && bytes > dram_capacity then None
+        else
+          let spec = Memcached.spec ~items:(Memcached.items_for_bytes bytes) in
+          Some (Driver.run ~duration_ns:dur ~model ~algorithm ~threads:1 spec))
   in
   let t =
-    Table.create ~title:"Fig 8 — memcached, 1 worker (k req/s by working set)"
+    table ~title:"Fig 8 — memcached, 1 worker (k req/s by working set)"
       ~header:("series" :: List.map fst sizes)
+      (List.map2
+         (fun (label, _, _) row ->
+           label
+           :: List.map
+                (function
+                  | None -> "n/a" | Some r -> Table.cell_f (r.Driver.txs_per_sec /. 1e3))
+                row)
+         fig8_series results)
   in
-  let cells =
-    List.concat_map
-      (fun (_, model, algorithm) ->
-        List.filter_map
-          (fun (_, bytes) ->
-            if feasible model bytes then
-              Some
-                (fun () ->
-                  let spec = Memcached.spec ~items:(Memcached.items_for_bytes bytes) in
-                  Driver.run ~duration_ns:dur ~model ~algorithm ~threads:1 spec)
-            else None)
-          sizes)
-      fig8_series
-  in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun (label, model, _) ->
-      let cells =
-        List.map
-          (fun (_, bytes) ->
-            if not (feasible model bytes) then "n/a"
-            else begin
-              let r = next () in
-              all_results := r :: !all_results;
-              Table.cell_f (r.Driver.txs_per_sec /. 1e3)
-            end)
-          sizes
-      in
-      Table.add_row t (label :: cells))
-    fig8_series;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  { tables = [ t ]; results = List.filter_map Fun.id (List.concat results); extra = [] }
 
 (* §IV-B: the compactness of redo logs that motivates PDRAM-Lite. *)
 let log_footprint ?(quick = false) ?jobs () =
   let dur = duration quick in
-  let t =
-    Table.create ~title:"Redo-log footprint (max cache lines per transaction)"
-      ~header:[ "workload"; "max lines"; "paper" ]
-  in
   let rows =
     [
       (Vacation.spec Vacation.Low, "37 (\"never more than 37 contiguous lines\")");
@@ -301,97 +247,65 @@ let log_footprint ?(quick = false) ?jobs () =
       (Tatp.spec, "(small)");
     ]
   in
-  let next =
-    dispatch ?jobs
-      (List.map
-         (fun (spec, _) () ->
-           Driver.run ~duration_ns:dur ~model:Config.optane_eadr ~algorithm:Ptm.Redo ~threads:8
-             spec)
-         rows)
+  let results =
+    Pool.map ?jobs
+      (fun (spec, _) ->
+        Driver.run ~duration_ns:dur ~model:Config.optane_eadr ~algorithm:Ptm.Redo ~threads:8 spec)
+      rows
   in
-  let all_results = ref [] in
-  List.iter
-    (fun (spec, paper) ->
-      let r = next () in
-      all_results := r :: !all_results;
-      Table.add_row t [ spec.Driver.name; string_of_int r.Driver.max_log_lines; paper ])
-    rows;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  let t =
+    table ~title:"Redo-log footprint (max cache lines per transaction)"
+      ~header:[ "workload"; "max lines"; "paper" ]
+      (List.map2
+         (fun (spec, paper) r -> [ spec.Driver.name; string_of_int r.Driver.max_log_lines; paper ])
+         rows results)
+  in
+  { tables = [ t ]; results; extra = [] }
 
 (* §III-B: incremental vs commit-time flushing of the redo log. *)
 let flush_timing_ablation ?(quick = false) ?jobs () =
   let dur = duration quick in
-  let t =
-    Table.create ~title:"Ablation — clwb timing of the redo log (ADR, M tx/s)"
-      ~header:[ "workload"; "threads"; "at-commit"; "incremental"; "delta" ]
-  in
-  let specs = [ Tpcc.spec Tpcc.Hash; Tatp.spec ] in
-  let thread_points = [ 1; 8 ] in
-  let cells =
+  let rows =
     List.concat_map
-      (fun spec ->
-        List.concat_map
-          (fun threads ->
-            List.map
-              (fun flush_timing () ->
-                Driver.run ~duration_ns:dur ~flush_timing ~model:Config.optane_adr
-                  ~algorithm:Ptm.Redo ~threads spec)
-              [ Ptm.At_commit; Ptm.Incremental ])
-          thread_points)
-      specs
+      (fun spec -> List.map (fun threads -> (spec, threads)) [ 1; 8 ])
+      [ Tpcc.spec Tpcc.Hash; Tatp.spec ]
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun spec ->
-      List.iter
-        (fun threads ->
-          let a = next () in
-          let b = next () in
-          all_results := b :: a :: !all_results;
-          Table.add_row t
-            [
-              spec.Driver.name;
-              string_of_int threads;
-              Table.cell_f (a.Driver.txs_per_sec /. 1e6);
-              Table.cell_f (b.Driver.txs_per_sec /. 1e6);
-              Printf.sprintf "%+.1f%%"
-                (100.0 *. ((b.Driver.txs_per_sec /. a.Driver.txs_per_sec) -. 1.0));
-            ])
-        thread_points)
-    specs;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  let results =
+    grid ?jobs rows [ Ptm.At_commit; Ptm.Incremental ] (fun (spec, threads) flush_timing ->
+        Driver.run ~duration_ns:dur ~flush_timing ~model:Config.optane_adr ~algorithm:Ptm.Redo
+          ~threads spec)
+  in
+  let t =
+    table ~title:"Ablation — clwb timing of the redo log (ADR, M tx/s)"
+      ~header:[ "workload"; "threads"; "at-commit"; "incremental"; "delta" ]
+      (List.map2
+         (fun (spec, threads) row ->
+           (spec.Driver.name :: string_of_int threads :: List.map mtx_per_sec row)
+           @ [ Printf.sprintf "%+.1f%%" (gain_pct row) ])
+         rows results)
+  in
+  { tables = [ t ]; results = List.concat results; extra = [] }
 
 (* Design-choice ablation: orec-table size vs false conflicts. *)
 let orec_ablation ?(quick = false) ?jobs () =
   let dur = duration quick in
-  let t =
-    Table.create ~title:"Ablation — ownership-record table size (TPCC hash, redo, 16 threads)"
-      ~header:[ "orec bits"; "M tx/s"; "commits/abort" ]
-  in
   let sizes = [ 10; 12; 14; 16; 18; 20 ] in
-  let next =
-    dispatch ?jobs
-      (List.map
-         (fun bits () ->
-           Driver.run ~duration_ns:dur ~orec_bits:bits ~model:Config.optane_eadr
-             ~algorithm:Ptm.Redo ~threads:16 (Tpcc.spec Tpcc.Hash))
-         sizes)
+  let results =
+    Pool.map ?jobs
+      (fun bits ->
+        Driver.run ~duration_ns:dur ~orec_bits:bits ~model:Config.optane_eadr ~algorithm:Ptm.Redo
+          ~threads:16 (Tpcc.spec Tpcc.Hash))
+      sizes
   in
-  let all_results = ref [] in
-  List.iter
-    (fun bits ->
-      let r = next () in
-      all_results := r :: !all_results;
-      Table.add_row t
-        [
-          string_of_int bits;
-          Table.cell_f (r.Driver.txs_per_sec /. 1e6);
-          (if r.Driver.commits_per_abort = infinity then "-"
-           else Table.cell_f r.Driver.commits_per_abort);
-        ])
-    sizes;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  let t =
+    table ~title:"Ablation — ownership-record table size (TPCC hash, redo, 16 threads)"
+      ~header:[ "orec bits"; "M tx/s"; "commits/abort" ]
+      (List.map2
+         (fun bits r ->
+           [ string_of_int bits; mtx_per_sec r; Table.cell_f r.Driver.commits_per_abort ])
+         sizes results)
+  in
+  { tables = [ t ]; results; extra = [] }
 
 (* ---------- extensions beyond the paper's evaluation ---------- *)
 
@@ -399,7 +313,6 @@ let orec_ablation ?(quick = false) ?jobs () =
    might work with eADR and PDRAM."  Compare the TSX-style mode against
    the software paths under the flush-free domains. *)
 let htm ?(quick = false) ?jobs () =
-  let dur = duration quick in
   let series =
     [
       ("eADR_redo", Config.optane_eadr, Ptm.Redo);
@@ -412,7 +325,7 @@ let htm ?(quick = false) ?jobs () =
       ("HTMcommit_redo", Config.htm_commit, Ptm.Redo);
     ]
   in
-  sweep ?jobs ~quick:(dur < 3_000_000) ~title:"Extension — HTM under eADR/PDRAM" ~series
+  sweep ?jobs ~quick ~title:"Extension — HTM under eADR/PDRAM" ~series
     [ Tpcc.spec Tpcc.Hash; Btree_bench.insert_only; Tatp.spec ]
 
 (* §IV-C's cost argument: PDRAM's mechanics are Memory Mode's; how much
@@ -436,13 +349,6 @@ let memory_mode ?(quick = false) ?jobs () =
    refs live inside each cell, so cells stay shared-nothing. *)
 let reserve_energy ?(quick = false) ?jobs () =
   let dur = duration quick in
-  let t =
-    Repro_util.Table.create
-      ~title:"Extension — reserve-power requirements (TPCC hash, redo, 8 threads)"
-      ~header:
-        [ "model"; "max WPQ lines"; "max dirty L3"; "max dirty pages"; "max log lines";
-          "reserve energy (uJ)" ]
-  in
   let models =
     [
       Config.optane_adr; Config.optane_eadr; Config.transient_cache; Config.pdram_lite;
@@ -450,8 +356,8 @@ let reserve_energy ?(quick = false) ?jobs () =
     ]
   in
   let cells =
-    List.map
-      (fun model () ->
+    Pool.map ?jobs
+      (fun model ->
         let max_debt = ref { Memsim.Sim.Debt.wpq_lines = 0; dirty_l3_lines = 0;
                              dirty_dram_pages = 0; armed_log_lines = 0 } in
         let max_energy = ref 0.0 in
@@ -470,23 +376,24 @@ let reserve_energy ?(quick = false) ?jobs () =
         (r, !max_debt, !max_energy))
       models
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun model ->
-      let r, d, max_energy = next () in
-      all_results := r :: !all_results;
-      Repro_util.Table.add_row t
-        [
-          model.Config.model_name;
-          string_of_int d.Memsim.Sim.Debt.wpq_lines;
-          string_of_int d.Memsim.Sim.Debt.dirty_l3_lines;
-          string_of_int d.Memsim.Sim.Debt.dirty_dram_pages;
-          string_of_int d.Memsim.Sim.Debt.armed_log_lines;
-          Repro_util.Table.cell_f (max_energy /. 1e3);
-        ])
-    models;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  let t =
+    table ~title:"Extension — reserve-power requirements (TPCC hash, redo, 8 threads)"
+      ~header:
+        [ "model"; "max WPQ lines"; "max dirty L3"; "max dirty pages"; "max log lines";
+          "reserve energy (uJ)" ]
+      (List.map2
+         (fun model (_, d, max_energy) ->
+           [
+             model.Config.model_name;
+             string_of_int d.Memsim.Sim.Debt.wpq_lines;
+             string_of_int d.Memsim.Sim.Debt.dirty_l3_lines;
+             string_of_int d.Memsim.Sim.Debt.dirty_dram_pages;
+             string_of_int d.Memsim.Sim.Debt.armed_log_lines;
+             Table.cell_f (max_energy /. 1e3);
+           ])
+         models cells)
+  in
+  { tables = [ t ]; results = List.map (fun (r, _, _) -> r) cells; extra = [] }
 
 (* Extension: DIMM interleaving (§III-A: "the Optane memory was split
    across 12 DIMMs, and interleaving was enabled.  This is the
@@ -497,10 +404,6 @@ let dimm_interleave ?(quick = false) ?jobs () =
   let dur = duration quick in
   let channel_axis = [ 1; 2; 3; 6; 12 ] in
   let thread_points = [ 1; 8; 16; 32 ] in
-  let t =
-    Table.create ~title:"Extension — DIMM interleaving (TPCC hash, redo, ADR, M tx/s)"
-      ~header:("channels" :: List.map string_of_int thread_points)
-  in
   let base = Config.default_latency in
   (* Per-DIMM service = 6x the aggregate default (the default
      calibration folds ~6 interleaved DIMMs into one channel). *)
@@ -511,72 +414,52 @@ let dimm_interleave ?(quick = false) ?jobs () =
       nvm_read_service_ns = base.Config.nvm_read_service_ns * 6;
     }
   in
-  let cells =
-    List.concat_map
-      (fun channels ->
-        List.map
-          (fun threads () ->
-            Driver.run ~duration_ns:dur ~lat ~nvm_channels:channels ~model:Config.optane_adr
-              ~algorithm:Ptm.Redo ~threads (Tpcc.spec Tpcc.Hash))
-          thread_points)
-      channel_axis
+  let results =
+    grid ?jobs channel_axis thread_points (fun channels threads ->
+        Driver.run ~duration_ns:dur ~lat ~nvm_channels:channels ~model:Config.optane_adr
+          ~algorithm:Ptm.Redo ~threads (Tpcc.spec Tpcc.Hash))
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun channels ->
-      let cells =
-        List.map
-          (fun _threads ->
-            let r = next () in
-            all_results := r :: !all_results;
-            Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-          thread_points
-      in
-      Table.add_row t (string_of_int channels :: cells))
-    channel_axis;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  let t =
+    table ~title:"Extension — DIMM interleaving (TPCC hash, redo, ADR, M tx/s)"
+      ~header:("channels" :: List.map string_of_int thread_points)
+      (List.map2
+         (fun channels row -> string_of_int channels :: List.map mtx_per_sec row)
+         channel_axis results)
+  in
+  { tables = [ t ]; results = List.concat results; extra = [] }
 
 (* Extension: transaction latency distributions (the paper reports
    only throughput; tail latency is where fences actually hurt). *)
 let latency ?(quick = false) ?jobs () =
   let dur = duration quick in
-  let t =
-    Table.create ~title:"Extension — transaction latency, 8 threads (virtual ns)"
-      ~header:[ "workload"; "model"; "p50"; "p95"; "p99"; "mean" ]
-  in
   let specs = [ Tatp.spec; Tpcc.spec Tpcc.Hash ] in
   let models = [ Config.dram_eadr; Config.optane_adr; Config.optane_eadr; Config.pdram ] in
-  let cells =
-    List.concat_map
-      (fun spec ->
-        List.map
-          (fun model () ->
-            Driver.run ~duration_ns:dur ~model ~algorithm:Ptm.Redo ~threads:8 spec)
-          models)
-      specs
+  let results =
+    grid ?jobs specs models (fun spec model ->
+        Driver.run ~duration_ns:dur ~model ~algorithm:Ptm.Redo ~threads:8 spec)
   in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun spec ->
-      List.iter
-        (fun model ->
-          let r = next () in
-          all_results := r :: !all_results;
-          let h = r.Driver.latency in
-          Table.add_row t
-            [
-              spec.Driver.name;
-              model.Config.model_name;
-              Table.cell_f (Repro_util.Histogram.percentile h 50.0);
-              Table.cell_f (Repro_util.Histogram.percentile h 95.0);
-              Table.cell_f (Repro_util.Histogram.percentile h 99.0);
-              Table.cell_f (Repro_util.Histogram.mean h);
-            ])
-        models)
-    specs;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  let pct h p = Table.cell_f (Repro_util.Histogram.percentile h p) in
+  let t =
+    table ~title:"Extension — transaction latency, 8 threads (virtual ns)"
+      ~header:[ "workload"; "model"; "p50"; "p95"; "p99"; "mean" ]
+      (List.concat
+         (List.map2
+            (fun spec row ->
+              List.map2
+                (fun model r ->
+                  let h = r.Driver.latency in
+                  [
+                    spec.Driver.name;
+                    model.Config.model_name;
+                    pct h 50.0;
+                    pct h 95.0;
+                    pct h 99.0;
+                    Table.cell_f (Repro_util.Histogram.mean h);
+                  ])
+                models row)
+            specs results))
+  in
+  { tables = [ t ]; results = List.concat results; extra = [] }
 
 (* Extension: the YCSB core mixes across the durability models. *)
 let ycsb ?(quick = false) ?jobs () =
@@ -590,34 +473,16 @@ let ycsb ?(quick = false) ?jobs () =
       ("PDRAM_R", Config.pdram, Ptm.Redo);
     ]
   in
+  let results =
+    grid ?jobs series mixes (fun (_, model, algorithm) mix ->
+        Driver.run ~duration_ns:dur ~model ~algorithm ~threads:8 (Ycsb.spec mix))
+  in
   let t =
-    Table.create ~title:"Extension — YCSB mixes, 8 threads (M tx/s)"
+    table ~title:"Extension — YCSB mixes, 8 threads (M tx/s)"
       ~header:("series" :: List.map (fun m -> "ycsb-" ^ Ycsb.mix_name m) mixes)
+      (List.map2 (fun (label, _, _) row -> label :: List.map mtx_per_sec row) series results)
   in
-  let cells =
-    List.concat_map
-      (fun (_, model, algorithm) ->
-        List.map
-          (fun mix () ->
-            Driver.run ~duration_ns:dur ~model ~algorithm ~threads:8 (Ycsb.spec mix))
-          mixes)
-      series
-  in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun (label, _, _) ->
-      let cells =
-        List.map
-          (fun _mix ->
-            let r = next () in
-            all_results := r :: !all_results;
-            Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-          mixes
-      in
-      Table.add_row t (label :: cells))
-    series;
-  { tables = [ t ]; results = List.rev !all_results; extra = [] }
+  { tables = [ t ]; results = List.concat results; extra = [] }
 
 (* Tentpole extension: what software flush coalescing buys.  The bank
    workload's 2-write transfers under ADR pay the full per-entry
@@ -628,7 +493,6 @@ let ycsb ?(quick = false) ?jobs () =
 let scaling ?(quick = false) ?jobs () =
   let dur = duration quick in
   let axis = if quick then [ 1; 2; 4 ] else threads_axis in
-  let passive = { Telemetry.default_config with Telemetry.sample_interval_ns = 0 } in
   let series =
     [
       ("ADR_coalesced", Config.optane_adr, true);
@@ -637,62 +501,29 @@ let scaling ?(quick = false) ?jobs () =
       ("eADR_naive", Config.optane_eadr, false);
     ]
   in
+  let results =
+    grid ?jobs series axis (fun (_, model, coalesce) threads ->
+        Driver.run ~duration_ns:dur ~coalesce ~telemetry:passive ~model ~algorithm:Ptm.Redo
+          ~threads Bank.spec)
+  in
   let tput =
-    Table.create ~title:"Scaling — bank, redo: coalesced vs naive (M tx/s by thread count)"
+    table ~title:"Scaling — bank, redo: coalesced vs naive (M tx/s by thread count)"
       ~header:("series" :: List.map string_of_int axis)
+      (List.map2 (fun (label, _, _) row -> label :: List.map mtx_per_sec row) series results)
   in
   let economy =
-    Table.create ~title:"Scaling — flush/fence economy per commit (bank, redo)"
+    table ~title:"Scaling — flush/fence economy per commit (bank, redo)"
       ~header:
         [ "series"; "threads"; "fences/commit"; "clwbs/commit"; "fences saved"; "clwbs saved" ]
+      (List.concat
+         (List.map2
+            (fun (label, _, _) row ->
+              List.map2
+                (fun threads r -> label :: string_of_int threads :: economy_cells r)
+                axis row)
+            series results))
   in
-  let cells =
-    List.concat_map
-      (fun (_, model, coalesce) ->
-        List.map
-          (fun threads () ->
-            Driver.run ~duration_ns:dur ~coalesce ~telemetry:passive ~model ~algorithm:Ptm.Redo
-              ~threads Bank.spec)
-          axis)
-      series
-  in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun (label, _, _) ->
-      let cells =
-        List.map
-          (fun threads ->
-            let r = next () in
-            all_results := r :: !all_results;
-            (match r.Driver.telemetry with
-            | None -> ()
-            | Some cap ->
-              let p = Telemetry.profile cap in
-              let sum f =
-                List.fold_left (fun acc tid -> acc + f ~tid) 0 (Pstm.Profile.tids p)
-              in
-              let over_phases f =
-                sum (fun ~tid ->
-                    List.fold_left (fun acc ph -> acc + f ~tid ph) 0 Pstm.Profile.all_phases)
-              in
-              let commits = max 1 (sum (Pstm.Profile.commits p)) in
-              let per x = Table.cell_f (float_of_int x /. float_of_int commits) in
-              Table.add_row economy
-                [
-                  label;
-                  string_of_int threads;
-                  per (over_phases (fun ~tid ph -> Pstm.Profile.phase_fences p ~tid ph));
-                  per (over_phases (fun ~tid ph -> Pstm.Profile.phase_flushes p ~tid ph));
-                  per (sum (Pstm.Profile.fences_saved p));
-                  per (sum (Pstm.Profile.flushes_saved p));
-                ]);
-            Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-          axis
-      in
-      Table.add_row tput (label :: cells))
-    series;
-  { tables = [ tput; economy ]; results = List.rev !all_results; extra = [] }
+  { tables = [ tput; economy ]; results = List.concat results; extra = [] }
 
 (* Extension: the MOD algorithm column.  The same mixed btree/hash op
    stream runs under redo, undo and MOD across every durability domain
@@ -707,7 +538,6 @@ let scaling ?(quick = false) ?jobs () =
 let algorithms ?(quick = false) ?jobs () =
   let dur = duration quick in
   let threads = if quick then 2 else 4 in
-  let passive = { Telemetry.default_config with Telemetry.sample_interval_ns = 0 } in
   let models =
     [
       ("ADR", Config.optane_adr);
@@ -717,75 +547,45 @@ let algorithms ?(quick = false) ?jobs () =
       ("PDRAM-Lite", Config.pdram_lite);
     ]
   in
-  let algs = [ ("redo", Ptm.Redo); ("undo", Ptm.Undo); ("mod", Ptm.Mod) ] in
-  let specs = [ Mod_bench.btree; Mod_bench.hash ] in
+  let rows =
+    List.concat_map
+      (fun spec ->
+        List.map
+          (fun alg -> (spec, alg))
+          [ ("redo", Ptm.Redo); ("undo", Ptm.Undo); ("mod", Ptm.Mod) ])
+      [ Mod_bench.btree; Mod_bench.hash ]
+  in
+  let results =
+    grid ?jobs rows models (fun (spec, (_, algorithm)) (_, model) ->
+        Driver.run ~duration_ns:dur ~telemetry:passive ~model ~algorithm ~threads spec)
+  in
   let tput =
-    Table.create
+    table
       ~title:
         (Printf.sprintf "Algorithms — mixed btree/hash throughput, %d threads (M tx/s)" threads)
       ~header:("workload/algorithm" :: List.map fst models)
+      (List.map2
+         (fun (spec, (alg_name, _)) row ->
+           (spec.Driver.name ^ "/" ^ alg_name) :: List.map mtx_per_sec row)
+         rows results)
   in
   let economy =
-    Table.create ~title:"Algorithms — ordering economy per commit (profiler counters)"
+    table ~title:"Algorithms — ordering economy per commit (profiler counters)"
       ~header:
         [
           "workload"; "algorithm"; "model"; "fences/commit"; "clwbs/commit"; "fences saved";
           "clwbs saved";
         ]
+      (List.concat
+         (List.map2
+            (fun (spec, (alg_name, _)) row ->
+              List.map2
+                (fun (model_name, _) r ->
+                  spec.Driver.name :: alg_name :: model_name :: economy_cells r)
+                models row)
+            rows results))
   in
-  let cells =
-    List.concat_map
-      (fun spec ->
-        List.concat_map
-          (fun (_, algorithm) ->
-            List.map
-              (fun (_, model) () ->
-                Driver.run ~duration_ns:dur ~telemetry:passive ~model ~algorithm ~threads spec)
-              models)
-          algs)
-      specs
-  in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  List.iter
-    (fun spec ->
-      List.iter
-        (fun (alg_name, _) ->
-          let row =
-            List.map
-              (fun (model_name, _) ->
-                let r = next () in
-                all_results := r :: !all_results;
-                (match r.Driver.telemetry with
-                | None -> ()
-                | Some cap ->
-                  let p = Telemetry.profile cap in
-                  let sum f =
-                    List.fold_left (fun acc tid -> acc + f ~tid) 0 (Pstm.Profile.tids p)
-                  in
-                  let over_phases f =
-                    sum (fun ~tid ->
-                        List.fold_left (fun acc ph -> acc + f ~tid ph) 0 Pstm.Profile.all_phases)
-                  in
-                  let commits = max 1 (sum (Pstm.Profile.commits p)) in
-                  let per x = Table.cell_f (float_of_int x /. float_of_int commits) in
-                  Table.add_row economy
-                    [
-                      spec.Driver.name;
-                      alg_name;
-                      model_name;
-                      per (over_phases (fun ~tid ph -> Pstm.Profile.phase_fences p ~tid ph));
-                      per (over_phases (fun ~tid ph -> Pstm.Profile.phase_flushes p ~tid ph));
-                      per (sum (Pstm.Profile.fences_saved p));
-                      per (sum (Pstm.Profile.flushes_saved p));
-                    ]);
-                Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-              models
-          in
-          Table.add_row tput ((spec.Driver.name ^ "/" ^ alg_name) :: row))
-        algs)
-    specs;
-  { tables = [ tput; economy ]; results = List.rev !all_results; extra = [] }
+  { tables = [ tput; economy ]; results = List.concat results; extra = [] }
 
 (* Extension: recovery cost.  Crash a run mid-flight and measure the
    real time Ptm.recover takes as the heap gets fuller.  Stays serial
@@ -876,105 +676,82 @@ let fams_run ?(quick = false) ?jobs () =
       ("PDRAM-Lite", Config.pdram_lite);
     ]
   in
-  let series =
-    [
-      ("ptm-redo", None);
-      (Fams_bench.series_name Fams.Line, Some Fams.Line);
-      (Fams_bench.series_name Fams.Page, Some Fams.Page);
-    ]
+  (* Each FAMS shape next to its PTM twin, under PTM redo and both
+     snapshot granularities. *)
+  let rows =
+    List.concat_map
+      (fun pair ->
+        List.map (fun s -> (pair, s))
+          [
+            ("ptm-redo", None);
+            (Fams_bench.series_name Fams.Line, Some Fams.Line);
+            (Fams_bench.series_name Fams.Page, Some Fams.Page);
+          ])
+      [
+        (Fams_bench.bank, Bank.spec);
+        (Fams_bench.kv, Mod_bench.hash);
+        (Fams_bench.btree, Btree_bench.insert_only);
+      ]
   in
-  (* Each FAMS shape next to its PTM twin. *)
-  let pairs =
-    [
-      (Fams_bench.bank, Bank.spec);
-      (Fams_bench.kv, Mod_bench.hash);
-      (Fams_bench.btree, Btree_bench.insert_only);
-    ]
+  let results =
+    grid ?jobs rows models (fun ((fspec, ptm_spec), (series_name, g)) (model_name, model) ->
+        match g with
+        | None -> (Driver.run ~duration_ns:dur ~model ~algorithm:Ptm.Redo ~threads:1 ptm_spec, None)
+        | Some granularity ->
+          let r = Fams_bench.run ~duration_ns:dur ~model ~granularity fspec in
+          let st = r.Fams_bench.fams in
+          let per x = float_of_int x /. float_of_int (max 1 st.Fams.Stats.syncs) in
+          ( r.Fams_bench.driver,
+            Some
+              {
+                fc_workload = fspec.Fams_bench.name;
+                fc_model = model_name;
+                fc_series = series_name;
+                fc_tx_per_sec = r.Fams_bench.driver.Driver.txs_per_sec;
+                fc_write_amp = Fams.Stats.write_amp st;
+                fc_fences_per_sync = per st.Fams.Stats.fences;
+                fc_flushes_per_sync = per st.Fams.Stats.flushes;
+                fc_bytes_journaled = st.Fams.Stats.bytes_journaled;
+                fc_bytes_dirtied = st.Fams.Stats.bytes_dirtied;
+                fc_syncs = st.Fams.Stats.syncs;
+              } ))
   in
   let tput =
-    Table.create ~title:"FAMS — PTM redo vs failure-atomic msync, 1 thread (M ops/s)"
+    table ~title:"FAMS — PTM redo vs failure-atomic msync, 1 thread (M ops/s)"
       ~header:("workload/series" :: List.map fst models)
+      (List.map2
+         (fun (((fspec : Fams_bench.spec), _), (series_name, _)) row ->
+           (fspec.Fams_bench.name ^ "/" ^ series_name)
+           :: List.map (fun (r, _) -> mtx_per_sec r) row)
+         rows results)
   in
+  let cells = List.filter_map snd (List.concat results) in
+  let kib n = Table.cell_f (float_of_int n /. 1024.) in
   let economy =
-    Table.create ~title:"FAMS — snapshot economy per sync (line vs page granularity)"
+    table ~title:"FAMS — snapshot economy per sync (line vs page granularity)"
       ~header:
         [
           "workload"; "series"; "model"; "write amp"; "fences/sync"; "flushes/sync";
           "KiB journaled"; "KiB dirtied";
         ]
+      (List.map
+         (fun c ->
+           [
+             c.fc_workload;
+             c.fc_series;
+             c.fc_model;
+             Table.cell_f c.fc_write_amp;
+             Table.cell_f c.fc_fences_per_sync;
+             Table.cell_f c.fc_flushes_per_sync;
+             kib c.fc_bytes_journaled;
+             kib c.fc_bytes_dirtied;
+           ])
+         cells)
   in
-  let cells =
-    List.concat_map
-      (fun (fspec, ptm_spec) ->
-        List.concat_map
-          (fun (_, g) ->
-            List.map
-              (fun (_, model) () ->
-                match g with
-                | None ->
-                  ( Driver.run ~duration_ns:dur ~model ~algorithm:Ptm.Redo ~threads:1 ptm_spec,
-                    None )
-                | Some granularity ->
-                  let r = Fams_bench.run ~duration_ns:dur ~model ~granularity fspec in
-                  (r.Fams_bench.driver, Some r.Fams_bench.fams))
-              models)
-          series)
-      pairs
-  in
-  let next = dispatch ?jobs cells in
-  let all_results = ref [] in
-  let fams_cells = ref [] in
-  List.iter
-    (fun ((fspec : Fams_bench.spec), _) ->
-      List.iter
-        (fun (series_name, _) ->
-          let row =
-            List.map
-              (fun (model_name, _) ->
-                let r, st = next () in
-                all_results := r :: !all_results;
-                (match st with
-                | None -> ()
-                | Some st ->
-                  let syncs = max 1 st.Fams.Stats.syncs in
-                  let per x = float_of_int x /. float_of_int syncs in
-                  let cell =
-                    {
-                      fc_workload = fspec.Fams_bench.name;
-                      fc_model = model_name;
-                      fc_series = series_name;
-                      fc_tx_per_sec = r.Driver.txs_per_sec;
-                      fc_write_amp = Fams.Stats.write_amp st;
-                      fc_fences_per_sync = per st.Fams.Stats.fences;
-                      fc_flushes_per_sync = per st.Fams.Stats.flushes;
-                      fc_bytes_journaled = st.Fams.Stats.bytes_journaled;
-                      fc_bytes_dirtied = st.Fams.Stats.bytes_dirtied;
-                      fc_syncs = st.Fams.Stats.syncs;
-                    }
-                  in
-                  fams_cells := cell :: !fams_cells;
-                  Table.add_row economy
-                    [
-                      cell.fc_workload;
-                      cell.fc_series;
-                      cell.fc_model;
-                      Table.cell_f cell.fc_write_amp;
-                      Table.cell_f cell.fc_fences_per_sync;
-                      Table.cell_f cell.fc_flushes_per_sync;
-                      Table.cell_f (float_of_int cell.fc_bytes_journaled /. 1024.);
-                      Table.cell_f (float_of_int cell.fc_bytes_dirtied /. 1024.);
-                    ]);
-                Table.cell_f (r.Driver.txs_per_sec /. 1e6))
-              models
-          in
-          Table.add_row tput ((fspec.Fams_bench.name ^ "/" ^ series_name) :: row))
-        series)
-    pairs;
-  let cells = List.rev !fams_cells in
   let outcome =
     {
       tables = [ tput; economy ];
-      results = List.rev !all_results;
+      results = List.map fst (List.concat results);
       extra = [ ("fams_cells", Bench_json.List (List.map fams_cell_json cells)) ];
     }
   in

@@ -5,12 +5,15 @@
     what the paper reports.  [quick] shrinks the virtual measurement
     window (for smoke runs); results remain deterministic either way.
 
-    [jobs] bounds the worker pool that executes the sweep's independent
-    simulation cells across OCaml domains (default: the available
-    cores, {!Parallel.Pool.default_jobs}).  Cells are keyed by
-    submission order and reassembled before any table is built, so the
-    printed tables and CSVs are byte-identical for every [jobs] value —
-    parallelism buys wall-clock time only, never different numbers.
+    Each grid experiment names its axes once: one private [grid] call
+    runs a cell per row x column and returns the results row by row, in
+    the order given, and the tables are built from those rows.  [jobs]
+    bounds the worker pool that executes the independent simulation
+    cells across OCaml domains (default: the available cores,
+    {!Parallel.Pool.default_jobs}).  The pool returns results in
+    submission order, so the printed tables, CSVs and [results] are
+    byte-identical for every [jobs] value — parallelism buys
+    wall-clock time only, never different numbers.
 
     The experiment index lives in DESIGN.md; shape expectations and
     measured outcomes in EXPERIMENTS.md. *)

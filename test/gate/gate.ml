@@ -1,12 +1,13 @@
 (* The gate executable behind every gate alias:
 
-     gate.exe NAME [--full] [ARG]
+     gate.exe NAME [--full] [ARG...]
 
    NAME picks an entry of [gates] below.  --full selects the full form
    of a gate that has one (dlin, mod and fams: the @dlin, @mod and
-   @fams aliases pass it).  ARG is the gate's one input when it needs
-   one: the committed baseline record for mod, fams and crashbench, the
-   ptm_bench executable for trace.
+   @fams aliases pass it).  The ARGs are the gate's inputs when it
+   needs some: the committed baseline record for mod, fams, crashbench
+   and kvserve; the ptm_bench executable, then the committed baseline,
+   for trace.
 
    Every gate counts its checks through [check] and ends on one verdict
    line.  A gate with a wall-clock budget (fast and full constants in
@@ -54,10 +55,9 @@ let env_positive name ~default =
 let rendered (outcome : Experiments.outcome) =
   String.concat "\n" (List.map (Format.asprintf "%a" Repro_util.Table.print) outcome.tables)
 
-(* Render at --jobs 1, then once per entry of [jobs], and require the
-   same bytes every time. *)
-let same_bytes render jobs =
-  let reference = render 1 in
+(* Render once per entry of [jobs] and require the [reference] bytes
+   (the --jobs 1 rendering) every time. *)
+let same_bytes reference render jobs =
   List.iter
     (fun j ->
       let out = render j in
@@ -109,7 +109,9 @@ let every_cell find what ok xs ys zs =
         ys)
     xs
 
-let need what = function Some arg -> arg | None -> refuse "missing argument: %s" what
+(* The gate's [i]th ARG. *)
+let need what args i =
+  match List.nth_opt args i with Some arg -> arg | None -> refuse "missing argument: %s" what
 
 (* ---------- crashtest: the crash-matrix sweep ---------- *)
 
@@ -206,8 +208,8 @@ let allocated_words () =
   let _, promoted, major = Gc.counters () in
   Gc.minor_words () +. major -. promoted
 
-let crashbench ~full:_ baseline =
-  let baseline = need "the committed BENCH_crashtest.json" baseline in
+let crashbench ~full:_ args =
+  let baseline = need "the committed BENCH_crashtest.json" args 0 in
   let t0 = Unix.gettimeofday () in
   let cells =
     List.map
@@ -329,17 +331,11 @@ let fences_per_commit r =
   match r.Driver.telemetry with
   | None -> nan
   | Some cap ->
-    let p = Telemetry.profile cap in
-    let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 (Profile.tids p) in
-    let fences =
-      sum (fun ~tid ->
-          List.fold_left (fun acc ph -> acc + Profile.phase_fences p ~tid ph) 0
-            Profile.all_phases)
-    in
-    float_of_int fences /. float_of_int (max 1 (sum (Profile.commits p)))
+    let t = Profile.totals (Telemetry.profile cap) in
+    float_of_int t.Profile.fences /. float_of_int (max 1 t.Profile.commits)
 
-let mod_ ~full baseline =
-  let baseline = need "the committed BENCH_algorithms.json" baseline in
+let mod_ ~full args =
+  let baseline = need "the committed BENCH_algorithms.json" args 0 in
   let t0 = Unix.gettimeofday () in
   let outcome = Experiments.algorithms ~quick:(not full) () in
   let results = outcome.results in
@@ -396,8 +392,8 @@ let mod_ ~full baseline =
    4. regression, at quick size only, against the committed
       BENCH_fams.json. *)
 
-let fams ~full baseline =
-  let baseline = need "the committed BENCH_fams.json" baseline in
+let fams ~full args =
+  let baseline = need "the committed BENCH_fams.json" args 0 in
   let t0 = Unix.gettimeofday () in
   let outcome, cells = Experiments.fams_run ~quick:(not full) () in
   let find workload series model =
@@ -480,16 +476,8 @@ let bank_profile ~coalesce =
       ~algorithm:Pstm.Ptm.Redo ~threads:4 ~coalesce Workloads.Bank.spec
   in
   let cap = match r.Driver.telemetry with Some c -> c | None -> failwith "no capture" in
-  let p = Telemetry.profile cap in
-  let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 (Profile.tids p) in
-  let over phase_metric =
-    sum (fun ~tid ->
-        List.fold_left (fun acc ph -> acc + phase_metric p ~tid ph) 0 Profile.all_phases)
-  in
-  ( r.Driver.commits,
-    over Profile.phase_fences,
-    over Profile.phase_flushes,
-    sum (Profile.fences_saved p) )
+  let t = Profile.totals (Telemetry.profile cap) in
+  (r.Driver.commits, t.Profile.fences, t.Profile.flushes, t.Profile.fences_saved)
 
 let differential ~full:_ _ =
   let seeds = env_positive "DIFFTEST_SEEDS" ~default:12 in
@@ -526,17 +514,24 @@ let differential ~full:_ _ =
    itself — a shared RNG, a process-global counter, a telemetry sink
    written from two domains. *)
 let parallel ~full:_ _ =
-  same_bytes
-    (fun jobs -> rendered (Experiments.fig3_panel ~quick:true ~jobs Workloads.Bank.spec))
-    [ 2; 4 ];
+  let render jobs = rendered (Experiments.fig3_panel ~quick:true ~jobs Workloads.Bank.spec) in
+  same_bytes (render 1) render [ 2; 4 ];
   "parallel: --jobs 2 and 4 byte-identical to serial"
 
 (* The quick service sweep (working-set sizes x durability domains, and
    the crash-recovery table: the full codec -> router -> batch ->
-   commit path) twice at --jobs 1 and once at --jobs 2. *)
-let kvserve ~full:_ _ =
-  same_bytes (fun jobs -> rendered (Kvserve.Bench.run ~quick:true ~jobs ())) [ 1; 2 ];
-  "kvserve: repeat run and --jobs 2 byte-identical"
+   commit path) twice at --jobs 1 and once at --jobs 2; the first run's
+   record is regressed against the committed baseline. *)
+let kvserve ~full:_ args =
+  let baseline = need "the committed BENCH_kvserve.json" args 0 in
+  let t0 = Unix.gettimeofday () in
+  let outcome = Kvserve.Bench.run ~quick:true ~jobs:1 () in
+  let wall_s = Unix.gettimeofday () -. t0 in
+  same_bytes (rendered outcome)
+    (fun jobs -> rendered (Kvserve.Bench.run ~quick:true ~jobs ()))
+    [ 1; 2 ];
+  regress_against baseline ~experiment:"kvserve" ~wall_s outcome;
+  "kvserve: repeat run and --jobs 2 byte-identical, record within the committed baseline"
 
 (* ---------- telemetry: artifact schema and determinism ---------- *)
 
@@ -660,8 +655,9 @@ let trace_config model =
     heap_words_per_shard = 1 lsl 17;
   }
 
-let trace ~full:_ bench_exe =
-  let bench_exe = need "the ptm_bench executable" bench_exe in
+let trace ~full:_ args =
+  let bench_exe = need "the ptm_bench executable" args 0 in
+  let committed = need "the committed BENCH_trace.json" args 1 in
   let module Service = Kvserve.Service in
   let module Trace = Telemetry.Trace in
   let fleet =
@@ -711,7 +707,9 @@ let trace ~full:_ bench_exe =
         check (r.Service.model ^ ": tail blame attributes its band")
           (b.Trace.brequests > 0 && b.Trace.battributed_ns = b.Trace.btotal_latency_ns))
     [ Config.dram_adr; Config.optane_adr; Config.optane_eadr; Config.pdram_lite ];
+  let t0 = Unix.gettimeofday () in
   let outcome = Kvserve.Bench.run_trace ~quick:true ~jobs:1 () in
+  regress_against committed ~experiment:"trace" ~wall_s:(Unix.gettimeofday () -. t0) outcome;
   let record =
     J.outcome_json ~experiment:"trace" ~quick:true ~jobs:1 ~wall_s:1.0 ~extra:outcome.extra []
   in
@@ -757,8 +755,8 @@ type gate = {
   budget_s : (float * float) option;
       (** fast and full wall-clock budgets; a gate with a budget has a
           --full form *)
-  run : full:bool -> string option -> string;
-      (** the checks, given --full and ARG; returns the text of the
+  run : full:bool -> string list -> string;
+      (** the checks, given --full and the ARGs; returns the text of the
           verdict line on success (the harness prefixes the label and
           appends the time of a budgeted gate) *)
 }
@@ -778,13 +776,11 @@ let gates =
   ]
 
 let main args =
-  let name, full, arg =
+  let name, full, args =
     match args with
-    | [ name ] -> (name, false, None)
-    | [ name; "--full" ] -> (name, true, None)
-    | [ name; "--full"; arg ] -> (name, true, Some arg)
-    | [ name; arg ] -> (name, false, Some arg)
-    | _ -> refuse "usage: gate.exe NAME [--full] [ARG]"
+    | name :: "--full" :: args -> (name, true, args)
+    | name :: args -> (name, false, args)
+    | [] -> refuse "usage: gate.exe NAME [--full] [ARG...]"
   in
   let gate =
     match List.find_opt (fun g -> g.name = name) gates with
@@ -802,7 +798,7 @@ let main args =
        Some (if full then whole else fast))
   in
   let t0 = Unix.gettimeofday () in
-  let summary = gate.run ~full arg in
+  let summary = gate.run ~full args in
   let elapsed = Unix.gettimeofday () -. t0 in
   if !failed > 0 then begin
     Printf.printf "%s: %d/%d check(s) FAILED in %.1fs\n%!" label !failed !ran elapsed;

@@ -178,13 +178,8 @@ let profile_fences_flushes model ops =
   Ptm.set_profiler ptm (Some p);
   ops ptm t;
   Ptm.set_profiler ptm None;
-  let sum f =
-    List.fold_left
-      (fun acc tid ->
-        List.fold_left (fun acc ph -> acc + f p ~tid ph) acc Profile.all_phases)
-      0 (Profile.tids p)
-  in
-  (sum Profile.phase_fences, sum Profile.phase_flushes)
+  let t = Profile.totals p in
+  (t.Profile.fences, t.Profile.flushes)
 
 let update_ops n ptm t =
   for k = 1 to n do

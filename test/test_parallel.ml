@@ -88,23 +88,22 @@ let test_invalid_jobs () =
 
 let test_chunking () =
   (* Batched claiming changes only which worker runs a task, never the
-     reassembled order — including chunks that don't divide the batch,
-     exceed it, or degenerate to the old one-at-a-time claiming. *)
-  let n = 23 in
-  let tasks = List.init n (fun i () -> i * 3) in
-  let expect = List.init n (fun i -> i * 3) in
+     reassembled order.  The batch size is [default_chunk ~n ~jobs], so
+     the task count and [jobs] pick it: one-at-a-time claiming, chunks
+     of 2 and 5, and chunks that don't divide the batch. *)
   List.iter
-    (fun chunk ->
+    (fun (n, jobs, chunk) ->
+      Alcotest.(check int)
+        (Printf.sprintf "default_chunk ~n:%d ~jobs:%d" n jobs)
+        chunk (Pool.default_chunk ~n ~jobs);
       Alcotest.(check (list int))
-        (Printf.sprintf "order with chunk=%d" chunk)
-        expect
-        (Pool.run ~jobs:3 ~chunk tasks))
-    [ 1; 2; 5; n; n + 40 ];
-  Alcotest.check_raises "chunk=0 rejected" (Invalid_argument "Pool.run: chunk must be >= 1")
-    (fun () -> ignore (Pool.run ~jobs:2 ~chunk:0 [ (fun () -> ()) ]));
-  (* The lowest-indexed recorded failure still wins under batching. *)
-  (match Pool.run ~jobs:2 ~chunk:4 (List.init 12 (fun i () -> if i >= 6 then raise (Boom i)))
-   with
+        (Printf.sprintf "order with %d tasks, jobs=%d (chunk=%d)" n jobs chunk)
+        (List.init n (fun i -> i * 3))
+        (Pool.run ~jobs (List.init n (fun i () -> i * 3))))
+    [ (23, 3, 1); (16, 2, 2); (17, 2, 2); (40, 2, 5); (43, 2, 5) ];
+  (* The lowest-indexed recorded failure still wins under batching
+     (32 tasks on 2 workers claim chunks of 4). *)
+  (match Pool.run ~jobs:2 (List.init 32 (fun i () -> if i >= 6 then raise (Boom i))) with
   | _ -> Alcotest.fail "expected Boom to propagate through chunked run"
   | exception Boom i ->
     Alcotest.(check bool) (Printf.sprintf "lowest recorded failure (Boom %d)" i) true (i >= 6));

@@ -122,16 +122,37 @@ let test_eadr_no_flush_phases () =
 
 let economy ?coalesce ~model algorithm =
   let r = run ~telemetry:passive ?coalesce ~model ~algorithm () in
+  let t = Profile.totals (Telemetry.profile (capture r)) in
+  Helpers.check_bool "commits > 0" true (t.Profile.commits > 0);
+  let per n = float_of_int n /. float_of_int t.Profile.commits in
+  ( per t.Profile.fences,
+    per t.Profile.flushes,
+    t.Profile.fences_saved,
+    t.Profile.flushes_saved,
+    r )
+
+let test_totals_match_fold () =
+  (* [Profile.totals] against the explicit per-thread, per-phase fold
+     it replaces, on a coalesced bank run under ADR (every field
+     non-zero). *)
+  let r = run ~telemetry:passive ~model:Config.optane_adr ~algorithm:Pstm.Ptm.Redo () in
   let p = Telemetry.profile (capture r) in
   let sum f = List.fold_left (fun acc tid -> acc + f ~tid) 0 (Profile.tids p) in
   let over metric =
     sum (fun ~tid -> List.fold_left (fun acc ph -> acc + metric p ~tid ph) 0 Profile.all_phases)
   in
-  let commits = sum (Profile.commits p) in
-  Helpers.check_bool "commits > 0" true (commits > 0);
-  let per n = float_of_int n /. float_of_int commits in
-  (per (over Profile.phase_fences), per (over Profile.phase_flushes),
-   sum (Profile.fences_saved p), sum (Profile.flushes_saved p), r)
+  let t = Profile.totals p in
+  List.iter
+    (fun (name, total, fold) ->
+      Helpers.check_int name fold total;
+      Helpers.check_bool (name ^ " > 0") true (fold > 0))
+    [
+      ("commits", t.Profile.commits, sum (Profile.commits p));
+      ("fences", t.Profile.fences, over Profile.phase_fences);
+      ("flushes", t.Profile.flushes, over Profile.phase_flushes);
+      ("fences_saved", t.Profile.fences_saved, sum (Profile.fences_saved p));
+      ("flushes_saved", t.Profile.flushes_saved, sum (Profile.flushes_saved p));
+    ]
 
 let test_coalescing_drops_fences_adr () =
   (* The acceptance numbers: the 2-write bank transfer under ADR with
@@ -347,6 +368,7 @@ let suite =
     Alcotest.test_case "undo fences exceed redo (ADR)" `Quick test_undo_fences_exceed_redo;
     Alcotest.test_case "eADR: no flush/fence phases" `Quick test_eadr_no_flush_phases;
     Alcotest.test_case "coalescing drops fences (ADR)" `Quick test_coalescing_drops_fences_adr;
+    Alcotest.test_case "profile totals match the per-thread fold" `Quick test_totals_match_fold;
     Alcotest.test_case "coalescing is a no-op under eADR" `Quick test_coalescing_noop_under_eadr;
     Alcotest.test_case "coalesce phase attribution" `Quick test_coalesce_phase_attribution;
     Alcotest.test_case "series sampling monotone" `Quick test_series_sampling;
